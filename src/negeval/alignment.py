@@ -12,6 +12,7 @@ cardinality.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import AlignmentError
@@ -107,19 +108,34 @@ def align(gold: Sentence, pred: Sentence, mode: CueMatchMode = CueMatchMode.EXAC
     )
 
 
-def align_corpus(
-    gold: Corpus, pred: Corpus, mode: CueMatchMode = CueMatchMode.EXACT
-) -> list[InstanceAlignment]:
-    """Align two corpora sentence by sentence, in gold corpus order."""
+def _sentence_pairs(gold: Corpus, pred: Corpus) -> list[tuple[Sentence, Sentence]]:
+    """Gold and predicted sentences paired by key, in gold corpus order: the one
+    place where corpora are paired.  Raises :class:`AlignmentError` when either
+    corpus repeats a sentence key or a key is missing on either side."""
+    gold_by_key = {s.key: s for s in gold.sentences}
     pred_by_key = {s.key: s for s in pred.sentences}
-    gold_keys = {s.key for s in gold.sentences}
-    missing_in_pred = [s.key for s in gold.sentences if s.key not in pred_by_key]
-    missing_in_gold = sorted(k for k in pred_by_key if k not in gold_keys)
-    if missing_in_pred or missing_in_gold:
+    for side, corpus, by_key in (("gold", gold, gold_by_key), ("predictions", pred, pred_by_key)):
+        if len(by_key) != len(corpus.sentences):
+            key = next(k for k, n in Counter(s.key for s in corpus.sentences).items() if n > 1)
+            raise AlignmentError(f"duplicate sentence key {key} in {side}")
+    if gold_by_key.keys() != pred_by_key.keys():
+        missing_in_pred = [k for k in gold_by_key if k not in pred_by_key]
+        missing_in_gold = sorted(k for k in pred_by_key if k not in gold_by_key)
         parts = []
         if missing_in_pred:
             parts.append(f"missing from predictions: {missing_in_pred[:5]}")
         if missing_in_gold:
             parts.append(f"missing from gold: {missing_in_gold[:5]}")
         raise AlignmentError("sentence sets differ; " + "; ".join(parts))
-    return [align(s, pred_by_key[s.key], mode) for s in gold.sentences]
+    return [(s, pred_by_key[key]) for key, s in gold_by_key.items()]
+
+
+def align_corpus(
+    gold: Corpus, pred: Corpus, mode: CueMatchMode = CueMatchMode.EXACT
+) -> list[InstanceAlignment]:
+    """Align two corpora sentence by sentence, in gold corpus order.
+
+    Raises :class:`AlignmentError` on duplicate or missing sentence keys and
+    on paired sentences whose tokens differ.
+    """
+    return [align(g, p, mode) for g, p in _sentence_pairs(gold, pred)]

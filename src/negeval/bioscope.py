@@ -13,6 +13,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import IO
 
+from .conll import _decode
 from .errors import ParseError
 from .model import (
     AnnotationElement,
@@ -22,6 +23,7 @@ from .model import (
     Token,
     element_for,
     is_punct_surface,
+    renumber,
 )
 from .tokenizer import CharSpan, TokenizerConfig, tokenize
 
@@ -38,7 +40,7 @@ def parse_bioscope(
 ) -> Corpus:
     """Parse one BioScope XML document set into a :class:`Corpus`."""
     try:
-        root = ET.fromstring(_read(data))
+        root = ET.fromstring(_decode(data, source))
     except ET.ParseError as exc:
         raise ParseError(f"malformed XML: {exc}", source) from None
     tokenizer = tokenizer or TokenizerConfig()
@@ -65,15 +67,6 @@ def load_bioscope(path, tokenizer: TokenizerConfig | None = None, *, remove_cue_
             name=str(path),
             source=str(path),
         )
-
-
-def _read(data: str | bytes | IO) -> str:
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    if isinstance(data, str):
-        return data
-    content = data.read()
-    return content.decode("utf-8") if isinstance(content, bytes) else content
 
 
 def _document_id(doc: ET.Element, doc_no: int) -> str:
@@ -133,22 +126,19 @@ def _parse_sentence(
             raise ParseError(f"{where}: scope {xcope_id!r} has no matching cue reference", source)
 
     instances: list[NegationInstance] = []
-    for k, xcope_id in enumerate(sorted(by_ref, key=lambda i: scope_spans[i][0])):
+    for xcope_id in sorted(by_ref, key=lambda i: scope_spans[i][0]):
         cue: set[AnnotationElement] = set()
         for start, end in by_ref[xcope_id]:
             cue.update(_elements_in_span(tokens, spans, start, end))
         scope = set(_elements_in_span(tokens, spans, *scope_spans[xcope_id]))
         if remove_cue_from_scope:
             scope -= cue
-        instances.append(NegationInstance(frozenset(cue), frozenset(scope), instance_id=k))
-    instances = [inst for inst in instances if inst.cue]
+        instances.append(NegationInstance(frozenset(cue), frozenset(scope)))
     return Sentence(
         doc_id=doc_id,
         sent_index=sent_index,
         tokens=tokens,
-        instances=tuple(
-            NegationInstance(i.cue, i.scope, i.event, instance_id=n) for n, i in enumerate(instances)
-        ),
+        instances=renumber(inst for inst in instances if inst.cue),
     )
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .baseline import punct_baseline
 from .bioscope import load_bioscope
-from .conll import load_sem_conll, write_sem_conll
+from .conll import _decode, load_sem_conll, write_sem_conll
 from .datatools import (
     SplitSpec,
     apply_patches,
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .metrics import percent
 from .model import Corpus, strip_punctuation, validate
-from .report import METRIC_ORDER, full_report
+from .report import METRIC_ORDER, SCHEMA_VERSION, full_report
 from .sfu import load_sfu
 from .tokenizer import TokenizerConfig
 
@@ -70,7 +70,8 @@ def _sniff_format(path: Path) -> str:
     if path.suffix.lower() in (".conll", ".sem", ".txt", ".neg"):
         return "conll"
     if path.suffix.lower() == ".xml":
-        head = path.read_bytes()[:4096].decode("utf-8", "replace")
+        with open(path, "rb") as handle:
+            head = handle.read(4096).decode("utf-8", "replace")
         return "sfu" if "<SENTENCE" in head else "bioscope"
     return "conll"
 
@@ -126,7 +127,7 @@ def cmd_compare(args) -> int:
     report_b = full_report(gold, pred_b, keep_punct=args.keep_punct)
     if args.out == "json":
         payload = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "system_a": json.loads(report_a.to_json()),
             "system_b": json.loads(report_b.to_json()),
             "delta_f1": {
@@ -174,7 +175,7 @@ def cmd_dep_encode(args) -> int:
 
 
 def cmd_dep_decode(args) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
+    text = _decode(Path(args.input).read_bytes(), args.input)
     kind = EncodingKind(args.encoding)
     corpus = decode_corpus(text, kind, source=args.input)
     _emit(args, write_sem_conll(corpus))
@@ -185,7 +186,7 @@ def cmd_split(args) -> int:
     corpus = _load_corpus(args.input, args)
     assignment = None
     if args.assignment:
-        assignment = parse_assignment(Path(args.assignment).read_text(encoding="utf-8"))
+        assignment = parse_assignment(_decode(Path(args.assignment).read_bytes(), args.assignment))
     try:
         ratios = tuple(int(r) for r in args.ratios.split("/"))
     except ValueError:
@@ -210,7 +211,7 @@ def cmd_stats(args) -> int:
 
 def cmd_patch(args) -> int:
     corpus = _load_corpus(args.input, args)
-    patch_text = Path(args.patches).read_text(encoding="utf-8")
+    patch_text = _decode(Path(args.patches).read_bytes(), args.patches)
     patches = parse_patch_file(patch_text, corpus, source=args.patches)
     _emit(args, write_sem_conll(apply_patches(corpus, patches)))
     return EXIT_OK
@@ -241,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--out", choices=("text", "json", "tsv"), default="text")
-    p.add_argument("--cue-match", choices=("exact", "partial"), default="exact",
-                   help="kept for symmetry; the report always includes both cue modes")
     p.add_argument("--metrics", help="comma-separated subset of metrics to report")
     p.add_argument("--keep-punct", action="store_true", help="do not strip punctuation before scoring")
     p.add_argument("--cns-all-sentences", action="store_true",
@@ -254,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred-a", required=True)
     p.add_argument("--pred-b", required=True)
-    p.add_argument("--out", choices=("text", "json", "tsv"), default="text")
+    p.add_argument("--out", choices=("text", "json"), default="text")
     p.add_argument("--keep-punct", action="store_true")
     _add_io_options(p)
     p.set_defaults(func=cmd_compare)
@@ -329,3 +328,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -30,13 +30,13 @@ _NO_NEG = "***"
 _EMPTY = "_"
 
 
-def _decode(data: str | bytes | IO) -> str:
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    if isinstance(data, str):
-        return data
-    content = data.read()
-    return content.decode("utf-8") if isinstance(content, bytes) else content
+def _decode(data: str | bytes | IO, source: str) -> str:
+    """Every reader's input as text; bytes that are not UTF-8 raise a ParseError."""
+    try:
+        content = data if isinstance(data, (str, bytes)) else data.read()
+        return content.decode("utf-8") if isinstance(content, bytes) else content
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc.reason} at byte {exc.start}", source) from None
 
 
 def _split_columns(line: str) -> list[str]:
@@ -72,7 +72,7 @@ def parse_sem_conll(
     annotation cells that do not occur in their token's surface, and ``***``
     cells mixed with instance cells.
     """
-    text = _decode(data)
+    text = _decode(data, source)
     sentences: list[Sentence] = []
     block: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.split("\n"), 1):

@@ -31,6 +31,7 @@ from .model import (
     Corpus,
     NegationInstance,
     Sentence,
+    renumber,
     strip_punctuation,
 )
 
@@ -205,8 +206,7 @@ def apply_patches(corpus: Corpus, patches: list[ReannotationPatch]) -> Corpus:
                 rebuilt.extend(slot[inst.instance_id].replacement)
             else:
                 rebuilt.append(inst)
-        renumbered = tuple(replace(i, instance_id=n) for n, i in enumerate(rebuilt))
-        out.append(replace(sent, instances=renumbered))
+        out.append(replace(sent, instances=renumber(rebuilt)))
     return replace(corpus, sentences=tuple(out))
 
 

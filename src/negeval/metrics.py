@@ -27,11 +27,9 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable, Sequence
 
-from .alignment import CueMatchMode, InstanceAlignment
-from .errors import AlignmentError, UsageError
+from .alignment import CueMatchMode, InstanceAlignment, _sentence_pairs
+from .errors import UsageError
 from .model import Corpus, instance_signature
-
-ElementSet = frozenset
 
 
 def ratio_or(numerator: float, denominator: float, *, vacuous: bool) -> float:
@@ -109,7 +107,7 @@ class PRF:
 # Per-instance scope scorers
 
 
-def token_overlap_scores(s_g: ElementSet, s_p: ElementSet) -> tuple[float, float]:
+def token_overlap_scores(s_g: frozenset, s_p: frozenset) -> tuple[float, float]:
     """Per-instance token-overlap (precision, recall), each in [0, 1].
 
     precision = |s_g ∩ s_p| / |s_p| when the prediction is non-empty, else 1;
@@ -123,7 +121,7 @@ def token_overlap_scores(s_g: ElementSet, s_p: ElementSet) -> tuple[float, float
     return (p, r)
 
 
-def exact_match_scores(s_g: ElementSet, s_p: ElementSet) -> tuple[float, float]:
+def exact_match_scores(s_g: frozenset, s_p: frozenset) -> tuple[float, float]:
     """(1, 1) when the scope sets are identical, else (0, 0)."""
     return (1.0, 1.0) if s_g == s_p else (0.0, 0.0)
 
@@ -133,7 +131,7 @@ class ScopeScorer:
     """A named pair of per-instance (precision, recall) scoring functions."""
 
     name: str
-    score: Callable[[ElementSet, ElementSet], tuple[float, float]]
+    score: Callable[[frozenset, frozenset], tuple[float, float]]
 
 
 TOKEN_SCORER = ScopeScorer("token", token_overlap_scores)
@@ -144,10 +142,13 @@ EXACT_SCORER = ScopeScorer("exact", exact_match_scores)
 # Corpus-level scores
 
 
-def _require_exact(alignments: Sequence[InstanceAlignment], caller: str) -> None:
+def _require_mode(alignments: Sequence[InstanceAlignment], mode: CueMatchMode, caller: str) -> None:
     for alignment in alignments:
-        if alignment.mode is not CueMatchMode.EXACT:
-            raise UsageError(f"{caller} requires alignments built with exact cue matching")
+        if alignment.mode is not mode:
+            raise UsageError(
+                f"{caller}: alignment for {alignment.doc_id}#{alignment.sent_index} was built "
+                f"with {alignment.mode.value!r} cue matching, requested {mode.value!r}"
+            )
 
 
 def _totals(alignments: Sequence[InstanceAlignment]) -> tuple[int, int]:
@@ -157,11 +158,14 @@ def _totals(alignments: Sequence[InstanceAlignment]) -> tuple[int, int]:
     )
 
 
+def _unmatched_without_overlap(alignments: Sequence[InstanceAlignment]) -> int:
+    """Unmatched predictions whose cue overlaps no gold cue."""
+    return sum(len(a.unmatched_pred) - len(a.partial_only_pred) for a in alignments)
+
+
 def instance_scores(
     alignments: Sequence[InstanceAlignment],
     scorer: ScopeScorer = TOKEN_SCORER,
-    n_gold: int | None = None,
-    n_pred: int | None = None,
 ) -> PRF:
     """Uniformly weighted per-instance precision/recall expectation.
 
@@ -169,10 +173,8 @@ def instance_scores(
     cue match contribute zero.  Precision divides by the number of predicted
     instances, recall by the number of gold instances.
     """
-    _require_exact(alignments, "instance_scores")
-    total_gold, total_pred = _totals(alignments)
-    n_gold = total_gold if n_gold is None else n_gold
-    n_pred = total_pred if n_pred is None else n_pred
+    _require_mode(alignments, CueMatchMode.EXACT, "instance_scores")
+    n_gold, n_pred = _totals(alignments)
     p_sum = 0.0
     r_sum = 0.0
     for alignment in alignments:
@@ -190,7 +192,7 @@ def scope_tokens(alignments: Sequence[InstanceAlignment]) -> PRF:
     are the total scope sizes over *all* predicted (gold) instances, matched
     or not.  A token belonging to several scopes counts once per scope.
     """
-    _require_exact(alignments, "scope_tokens")
+    _require_mode(alignments, CueMatchMode.EXACT, "scope_tokens")
     overlap = 0
     pred_mass = 0
     gold_mass = 0
@@ -214,18 +216,13 @@ def scope_match(alignments: Sequence[InstanceAlignment], variant: str = "standar
     scope, are left out of the precision denominator entirely, so TP + FP
     can be smaller than the number of predictions.
     """
-    _require_exact(alignments, "scope_match")
+    _require_mode(alignments, CueMatchMode.EXACT, "scope_match")
     _check_variant(variant)
     n_gold, n_pred = _totals(alignments)
-    tp = 0
-    full_fp = 0
-    for alignment in alignments:
-        tp += sum(1 for g, p in alignment.matched if g.scope == p.scope)
-        partial = set(alignment.partial_only_pred)
-        full_fp += sum(1 for p in alignment.unmatched_pred if p not in partial)
+    tp = sum(1 for a in alignments for g, p in a.matched if g.scope == p.scope)
     if variant == "b":
         return PRF.from_counts(tp, n_pred, tp, n_gold)
-    return PRF.from_counts(tp, tp + full_fp, tp, n_gold)
+    return PRF.from_counts(tp, tp + _unmatched_without_overlap(alignments), tp, n_gold)
 
 
 def cue_scores(
@@ -241,21 +238,12 @@ def cue_scores(
     cue.
     """
     _check_variant(variant)
-    for alignment in alignments:
-        if alignment.mode is not mode:
-            raise UsageError(
-                f"cue_scores: alignment for {alignment.doc_id}#{alignment.sent_index} was built "
-                f"with {alignment.mode.value!r} cue matching, requested {mode.value!r}"
-            )
+    _require_mode(alignments, mode, "cue_scores")
     n_gold, n_pred = _totals(alignments)
     tp = sum(len(a.matched) for a in alignments)
     if variant == "b":
         return PRF.from_counts(tp, n_pred, tp, n_gold)
-    no_overlap = 0
-    for alignment in alignments:
-        partial = set(alignment.partial_only_pred)
-        no_overlap += sum(1 for p in alignment.unmatched_pred if p not in partial)
-    return PRF.from_counts(tp, tp + no_overlap, tp, n_gold)
+    return PRF.from_counts(tp, tp + _unmatched_without_overlap(alignments), tp, n_gold)
 
 
 def _check_variant(variant: str) -> None:
@@ -283,20 +271,18 @@ def correct_sentence_ratio(
     By default the denominator counts only sentences with at least one gold
     instance; ``count_all_sentences`` switches to all sentences, which also
     penalises spurious predictions in negation-free sentences.  Events are
-    ignored; instances compare as (cue set, scope set) multisets.
+    ignored; instances compare as (cue set, scope set) multisets.  Raises
+    :class:`AlignmentError`, as ``align_corpus`` does, when either corpus
+    repeats a sentence key or a key is missing on either side.
     """
-    pred_by_key = {s.key: s for s in pred.sentences}
-    missing = [s.key for s in gold.sentences if s.key not in pred_by_key]
-    if missing:
-        raise AlignmentError(f"sentences missing from predictions: {missing[:5]}")
     correct = 0
     total = 0
-    for sent in gold.sentences:
+    for sent, pred_sent in _sentence_pairs(gold, pred):
         if not count_all_sentences and not sent.instances:
             continue
         total += 1
         gold_sig = Counter(map(instance_signature, sent.instances))
-        pred_sig = Counter(map(instance_signature, pred_by_key[sent.key].instances))
+        pred_sig = Counter(map(instance_signature, pred_sent.instances))
         if gold_sig == pred_sig:
             correct += 1
     return SentenceAccuracy(correct, total)

@@ -167,8 +167,9 @@ class Diagnostic:
         return f"{self.level}[{self.code}]{where}: {self.message}"
 
 
-def _renumber(instances: Iterable[NegationInstance]) -> tuple[NegationInstance, ...]:
-    return tuple(replace(inst, instance_id=i) for i, inst in enumerate(instances))
+def renumber(instances: Iterable[NegationInstance]) -> tuple[NegationInstance, ...]:
+    """``instances`` with each ``instance_id`` set to the instance's position."""
+    return tuple(NegationInstance(i.cue, i.scope, i.event, n) for n, i in enumerate(instances))
 
 
 def strip_punctuation(corpus: Corpus) -> Corpus:
@@ -198,8 +199,8 @@ def strip_punctuation(corpus: Corpus) -> Corpus:
                 continue
             scope = frozenset(e for e in inst.scope if e.token_index not in punct)
             event = frozenset(e for e in inst.event if e.token_index not in punct)
-            kept.append(replace(inst, cue=cue, scope=scope, event=event))
-        out_sentences.append(replace(sent, instances=_renumber(kept)))
+            kept.append(NegationInstance(cue, scope, event))
+        out_sentences.append(replace(sent, instances=renumber(kept)))
     return replace(corpus, sentences=tuple(out_sentences))
 
 

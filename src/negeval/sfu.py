@@ -15,6 +15,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import IO
 
+from .conll import _decode
 from .errors import ParseError
 from .model import (
     Corpus,
@@ -31,7 +32,7 @@ _NEGATION = "negation"
 def parse_sfu(data: str | bytes | IO, *, name: str = "", source: str = "<string>") -> Corpus:
     """Parse one SFU review document into a :class:`Corpus` (one doc_id)."""
     try:
-        root = ET.fromstring(_read(data))
+        root = ET.fromstring(_decode(data, source))
     except ET.ParseError as exc:
         raise ParseError(f"malformed XML: {exc}", source) from None
     doc_id = name or root.get("id", "document")
@@ -45,15 +46,6 @@ def load_sfu(path) -> Corpus:
     p = Path(path)
     with open(p, "rb") as handle:
         return parse_sfu(handle, name=p.stem, source=str(p))
-
-
-def _read(data: str | bytes | IO) -> str:
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    if isinstance(data, str):
-        return data
-    content = data.read()
-    return content.decode("utf-8") if isinstance(content, bytes) else content
 
 
 def _parse_sentence(sent_el: ET.Element, doc_id: str, sent_index: int, source: str) -> Sentence:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .model import Corpus, NegationInstance, Sentence, Token, element_for
+from .model import Corpus, NegationInstance, Sentence, Token, element_for, renumber
 
 _WORDS = (
     "the", "a", "cat", "dog", "sat", "saw", "no", "not", "never", "remark",
@@ -123,10 +123,7 @@ def perturb_predictions(rng: random.Random, gold: Corpus) -> Corpus:
             predicted.append(
                 NegationInstance(cue=frozenset({element_for(sent.tokens[cue_token])}), scope=scope)
             )
-        renumbered = tuple(
-            NegationInstance(i.cue, i.scope, i.event, instance_id=n) for n, i in enumerate(predicted)
-        )
-        sentences.append(Sentence(sent.doc_id, sent.sent_index, sent.tokens, renumbered))
+        sentences.append(Sentence(sent.doc_id, sent.sent_index, sent.tokens, renumber(predicted)))
     return Corpus(tuple(sentences), name=f"{gold.name}:pred")
 
 
@@ -164,8 +161,5 @@ def random_laminar_sentence(
             build(scope_lo, scope_hi, level - 1)
 
     build(0, n_tokens, depth)
-    ordered = tuple(
-        NegationInstance(i.cue, i.scope, i.event, instance_id=n)
-        for n, i in enumerate(sorted(instances, key=lambda i: i.first_cue_index()))
-    )
+    ordered = renumber(sorted(instances, key=lambda i: i.first_cue_index()))
     return Sentence(doc_id, sent_index, tokens, ordered)

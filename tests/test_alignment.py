@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +17,8 @@ from negeval import (
     Token,
     align,
     align_corpus,
+    correct_sentence_ratio,
+    full_report,
 )
 from negeval.testing import perturb_predictions, random_corpus
 
@@ -82,6 +86,34 @@ def test_corpus_sentence_set_mismatch_names_offender():
     with pytest.raises(AlignmentError) as err:
         align_corpus(gold, pred)
     assert "('d', 1)" in str(err.value)
+
+
+PAIRING_ENTRY_POINTS = pytest.mark.parametrize(
+    "entry_point", [full_report, align_corpus, correct_sentence_ratio], ids=lambda f: f.__name__
+)
+
+
+def with_extra_sentence(corpus: Corpus, sent: Sentence) -> Corpus:
+    return Corpus(corpus.sentences + (sent,), name=corpus.name)
+
+
+@PAIRING_ENTRY_POINTS
+@pytest.mark.parametrize("side", ["gold", "predictions"])
+def test_duplicate_sentence_key_is_an_error(gold_corpus, system_b, entry_point, side):
+    # The copy has no instances: silently keeping only one of the two would
+    # change the counts (for predictions, cues_exact_b.p_den reads 2, not 3).
+    corpora = {"gold": gold_corpus, "predictions": system_b}
+    first = corpora[side].sentences[0]
+    corpora[side] = with_extra_sentence(corpora[side], replace(first, instances=()))
+    with pytest.raises(AlignmentError, match=re.escape(f"duplicate sentence key {first.key} in {side}")):
+        entry_point(corpora["gold"], corpora["predictions"])
+
+
+@PAIRING_ENTRY_POINTS
+def test_predicted_sentence_missing_from_gold_is_an_error(gold_corpus, system_b, entry_point):
+    extra = replace(system_b.sentences[0], doc_id="elsewhere", instances=())
+    with pytest.raises(AlignmentError, match="missing from gold"):
+        entry_point(gold_corpus, with_extra_sentence(system_b, extra))
 
 
 def test_empty_corpora_align_to_nothing():

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import negeval
 from conftest import fixture_path
 from negeval import load_sem_conll, parse_sem_conll
-from negeval.cli import EXIT_ALIGNMENT, EXIT_OK, EXIT_PARSE, main
+from negeval.cli import EXIT_ALIGNMENT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
 GOLD = str(fixture_path("two_systems_gold.conll"))
 SYS_A = str(fixture_path("two_systems_a.conll"))
@@ -62,6 +67,23 @@ def test_evaluate_parse_error_exit_code(capsys, tmp_path):
     assert code == EXIT_PARSE
     assert err.startswith("negeval: parse-error:")
     assert err.count("\n") == 1  # single-line error
+
+
+@pytest.mark.parametrize("command", ["stats", "evaluate", "dep-decode", "patch", "convert-xml"])
+def test_non_utf8_input_is_a_parse_error(capsys, tmp_path, command):
+    bad = tmp_path / ("bad.xml" if command == "convert-xml" else "bad.conll")
+    bad.write_bytes(b"d\t0\t0\tw\xffrd\t_\t_\t_\t***\n")
+    argv = {
+        "stats": ["stats", str(bad)],
+        "evaluate": ["evaluate", "--gold", str(bad), "--pred", str(bad)],
+        "dep-decode": ["dep-decode", str(bad)],
+        "patch": ["patch", GOLD, "--patches", str(bad)],
+        "convert-xml": ["convert", str(bad)],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert err.startswith(f"negeval: parse-error: {bad}: not valid UTF-8")
+    assert err.count("\n") == 1
 
 
 def test_evaluate_alignment_error_exit_code(capsys, tmp_path):
@@ -192,3 +214,16 @@ def test_byte_determinism(capsys):
 def test_usage_error_on_unknown_subcommand(capsys):
     code = main(["frobnicate"])
     assert code != EXIT_OK
+    # evaluate has no --cue-match option and compare no tsv output
+    assert main(["evaluate", "--gold", GOLD, "--pred", GOLD, "--cue-match", "exact"]) == EXIT_USAGE
+    assert main(["compare", "--gold", GOLD, "--pred-a", SYS_A, "--pred-b", SYS_B, "--out", "tsv"]) == EXIT_USAGE
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(negeval.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "negeval.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "negeval 0.1.0\n")
