@@ -5,13 +5,16 @@ split, stats, patch, detect-coord.  Input formats are auto-detected (CoNLL
 vs. XML, and BioScope vs. SFU by their markup) and can be forced with
 ``--format``.  All outputs are deterministic byte streams; errors exit
 nonzero with a single-line ``negeval: <category>: <message>`` prefix on
-stderr.
+stderr; warnings that do not stop a command are ``negeval: warning:
+<message>`` lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -316,6 +319,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports its own message
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    warnings = logging.StreamHandler(sys.stderr)
+    warnings.setFormatter(logging.Formatter("negeval: warning: %(message)s"))
+    logger = logging.getLogger("negeval")
+    propagate = logger.propagate
+    logger.addHandler(warnings)
+    logger.propagate = False
+    gc_was_enabled = gc.isenabled()
+    # Commands build large corpora without reference cycles and then exit;
+    # reference counting still frees everything, so cyclic GC only rescans.
+    gc.disable()
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
@@ -324,6 +337,11 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stderr.write(f"negeval: {category}: {exc}\n")
                 return code
         raise
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+        logger.removeHandler(warnings)
+        logger.propagate = propagate
 
 
 def console_main() -> None:

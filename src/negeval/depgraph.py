@@ -39,6 +39,7 @@ LABEL_CUE = "CUE"
 LABEL_SCOPE = "S"
 LABEL_EVENT = "E"
 LABEL_MULTIWORD = "MWC"
+_LABELS = frozenset({LABEL_CUE, LABEL_SCOPE, LABEL_EVENT, LABEL_MULTIWORD})
 
 
 class EncodingKind(enum.Enum):
@@ -265,6 +266,7 @@ def _parse_graph_block(block: list[tuple[int, str]], source: str):
     sent_index = 0
     surfaces: list[str] = []
     edges: set[Edge] = set()
+    heads: list[tuple[int, int]] = []  # (1-based head, line), checked once n is known
     for lineno, line in block:
         if line.startswith("#doc "):
             doc_id = line[len("#doc ") :]
@@ -290,11 +292,19 @@ def _parse_graph_block(block: list[tuple[int, str]], source: str):
                 head_text, _, label = pair.partition(":")
                 if not label:
                     raise ParseError(f"malformed head:label pair {pair!r}", source, lineno)
+                if label not in _LABELS:
+                    raise ParseError(f"unknown edge label in {pair!r}", source, lineno)
                 try:
                     head = int(head_text)
                 except ValueError:
                     raise ParseError(f"bad head index in {pair!r}", source, lineno) from None
+                heads.append((head, lineno))
                 edges.add(Edge(None if head == 0 else head - 1, index, label))
+    for head, lineno in heads:
+        if not 0 <= head <= len(surfaces):
+            raise ParseError(
+                f"head index {head} outside 0..{len(surfaces)} of its sentence", source, lineno
+            )
     return (doc_id, sent_index, tuple(surfaces), NegDepGraph(len(surfaces), frozenset(edges)))
 
 

@@ -43,7 +43,7 @@ def detect_punct(surface: str, pos: str | None, punct_pos: frozenset[str] = DEFA
     return is_punct_surface(surface)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One token of a sentence.  ``index`` is the 0-based sentence position."""
 
@@ -54,7 +54,7 @@ class Token:
     is_punct: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotationElement:
     """A cue/scope/event constituent: a token, or a character range within one.
 
@@ -183,7 +183,7 @@ def strip_punctuation(corpus: Corpus) -> Corpus:
     out_sentences = []
     for sent in corpus.sentences:
         punct = {t.index for t in sent.tokens if t.is_punct}
-        if not punct:
+        if not punct or not sent.instances:
             out_sentences.append(sent)
             continue
         kept: list[NegationInstance] = []

@@ -17,6 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .conll import _decode
+from .errors import ParseError
+
 DEFAULT_URL_PATTERN = r"(?:https?|ftp)://\S+|www\.\S+"
 #: Trailing characters peeled off a URL match so that "see http://x.y/z."
 #: does not swallow the sentence-final period.
@@ -39,37 +42,47 @@ class TokenizerConfig:
 
         Keys: ``url`` (regex, last one wins), ``internal`` (characters kept
         word-internal), ``abbrev`` (one abbreviation per line; repeatable).
-        ``#`` starts a comment.
+        ``#`` starts a comment.  Raises :class:`ParseError` for an unknown
+        key or a ``url`` pattern that does not compile.
         """
-        url = DEFAULT_URL_PATTERN
-        internal = DEFAULT_WORD_INTERNAL
-        abbrevs: set[str] = set()
-        saw_abbrev = False
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition(" ")
-            value = value.strip()
-            if key == "url":
-                url = value
-            elif key == "internal":
-                internal = value
-            elif key == "abbrev":
-                abbrevs.add(value)
-                saw_abbrev = True
-            else:
-                raise ValueError(f"line {lineno}: unknown tokenizer rule {key!r}")
-        return cls(
-            url_pattern=url,
-            word_internal=internal,
-            abbreviations=frozenset(abbrevs) if saw_abbrev else DEFAULT_ABBREVIATIONS,
-        )
+        return _parse_rules(text, "<string>")
 
     @classmethod
     def from_file(cls, path) -> "TokenizerConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_text(handle.read())
+        with open(path, "rb") as handle:
+            return _parse_rules(_decode(handle.read(), str(path)), str(path))
+
+
+def _parse_rules(text: str, source: str) -> TokenizerConfig:
+    url = DEFAULT_URL_PATTERN
+    internal = DEFAULT_WORD_INTERNAL
+    abbrevs: set[str] = set()
+    saw_abbrev = False
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition(" ")
+        value = value.strip()
+        if key == "url":
+            try:
+                re.compile(value)
+            except re.error as exc:
+                message = f"url pattern {value!r} does not compile: {exc}"
+                raise ParseError(message, source, lineno) from None
+            url = value
+        elif key == "internal":
+            internal = value
+        elif key == "abbrev":
+            abbrevs.add(value)
+            saw_abbrev = True
+        else:
+            raise ParseError(f"unknown tokenizer rule {key!r}", source, lineno)
+    return TokenizerConfig(
+        url_pattern=url,
+        word_internal=internal,
+        abbreviations=frozenset(abbrevs) if saw_abbrev else DEFAULT_ABBREVIATIONS,
+    )
 
 
 @dataclass(frozen=True)

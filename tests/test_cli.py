@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import negeval
 from conftest import fixture_path
 from negeval import load_sem_conll, parse_sem_conll
-from negeval.cli import EXIT_ALIGNMENT, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from negeval.cli import EXIT_ALIGNMENT, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
 GOLD = str(fixture_path("two_systems_gold.conll"))
 SYS_A = str(fixture_path("two_systems_a.conll"))
@@ -84,6 +85,72 @@ def test_non_utf8_input_is_a_parse_error(capsys, tmp_path, command):
     assert code == EXIT_PARSE
     assert err.startswith(f"negeval: parse-error: {bad}: not valid UTF-8")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [b"abbrev N\xffo.\n", b"bogus 1\n", b"abbrev Dr.\nurl ([\n"],
+    ids=["non-utf8", "unknown-key", "bad-url-regex"],
+)
+def test_bad_tokenizer_rule_file_is_a_parse_error(capsys, tmp_path, rules):
+    rule_file = tmp_path / "R"
+    rule_file.write_bytes(rules)
+    argv = ["convert", str(fixture_path("bioscope_sample.xml")), "--tokenizer", str(rule_file)]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert err.startswith(f"negeval: parse-error: {rule_file}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("row", ["2\tx\t1:FOO", "2\tx\t3:S"], ids=["unknown-label", "head-past-end"])
+def test_dep_decode_rejects_uninterpretable_edges(capsys, tmp_path, row):
+    graph = tmp_path / "bad.graph"
+    graph.write_text(f"#doc d\n#sent 0\n1\tno\t0:CUE\n{row}\n", encoding="utf-8")
+    code, _, err = run(capsys, "dep-decode", str(graph))
+    assert code == EXIT_PARSE
+    assert err.startswith(f"negeval: parse-error: {graph}:4:")
+    assert err.count("\n") == 1
+
+
+def test_dropped_instance_warnings_are_prefixed_once_per_call(capsys, tmp_path):
+    words = [("no", "DT"), (",", ","), ("way", "NN"), (".", ".")]
+    gold_cells = [["no", "_", "_"], ["_", "_", "_"], ["_", "way", "_"], ["_", "_", "_"]]
+    pred_cells = [cells + ["_", "_", "_"] for cells in gold_cells]
+    pred_cells[1][3] = ","  # second predicted instance: a punctuation-only cue
+    for name, cells in (("gold", gold_cells), ("pred", pred_cells)):
+        rows = [
+            "\t".join(["d", "0", str(i), w, w, pos, "_", *row])
+            for i, ((w, pos), row) in enumerate(zip(words, cells))
+        ]
+        (tmp_path / f"{name}.conll").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["evaluate", "--gold", str(tmp_path / "gold.conll"), "--pred", str(tmp_path / "pred.conll")]
+    for _ in range(2):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert err == "negeval: warning: dropping instance 1 of d#0: cue is entirely punctuation\n"
+
+
+def test_commands_pause_gc_and_restore_the_callers_state(capsys, monkeypatch, tmp_path):
+    seen = []
+
+    def full_report_spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return negeval.full_report(*args, **kwargs)
+
+    monkeypatch.setattr("negeval.cli.full_report", full_report_spy)
+    evaluate = ["evaluate", "--gold", GOLD, "--pred", SYS_A]
+    missing = ["evaluate", "--gold", str(tmp_path / "missing.conll"), "--pred", SYS_A]
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert run(capsys, *evaluate)[0] == EXIT_OK
+            assert gc.isenabled() is enabled
+            assert run(capsys, *missing)[0] == EXIT_IO
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False, False]
 
 
 def test_evaluate_alignment_error_exit_code(capsys, tmp_path):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -36,6 +38,18 @@ class TestElementEquality:
         a = element_for(token, (1, 3))  # "an"
         b = element_for(token, (3, 5))  # "an"
         assert a == b  # same token, same covered text
+
+    def test_subspan_is_not_compared(self):
+        a = AnnotationElement(3, "un", (0, 2))
+        b = AnnotationElement(3, "un", (5, 7))
+        assert a == b
+        assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("value, name", [(Token(0, "no"), "surface"), (AnnotationElement(0), "text")])
+    def test_frozen_and_without_instance_dict(self, value, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, "x")
+        assert not hasattr(value, "__dict__")
 
     def test_different_tokens_differ(self):
         assert element_for(Token(0, "no")) != element_for(Token(1, "no"))
@@ -80,6 +94,10 @@ class TestStripPunctuation:
         ])
         corpus = Corpus((sent,))
         assert strip_punctuation(corpus) == corpus
+
+    def test_sentence_without_instances_is_returned_as_is(self):
+        sent = make_sentence(["Yes", "."], punct={1})
+        assert strip_punctuation(Corpus((sent,))).sentences[0] is sent
 
     def test_drops_instance_with_all_punct_cue(self):
         inst_punct = NegationInstance(cue=frozenset({AnnotationElement(1)}))
