@@ -12,7 +12,6 @@ stderr; warnings that do not stop a command are ``negeval: warning:
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import logging
 import sys
@@ -43,7 +42,7 @@ from .errors import (
     UsageError,
 )
 from .metrics import percent
-from .model import Corpus, strip_punctuation, validate
+from .model import Corpus, _gc_paused, strip_punctuation, validate
 from .report import METRIC_ORDER, SCHEMA_VERSION, full_report
 from .sfu import load_sfu
 from .tokenizer import TokenizerConfig
@@ -325,12 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     propagate = logger.propagate
     logger.addHandler(warnings)
     logger.propagate = False
-    gc_was_enabled = gc.isenabled()
-    # Commands build large corpora without reference cycles and then exit;
-    # reference counting still frees everything, so cyclic GC only rescans.
-    gc.disable()
     try:
-        return args.func(args)
+        with _gc_paused():
+            return args.func(args)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
         for exc_type, code, category in _EXIT_CODES:
             if isinstance(exc, exc_type):
@@ -338,8 +334,6 @@ def main(argv: list[str] | None = None) -> int:
                 return code
         raise
     finally:
-        if gc_was_enabled:
-            gc.enable()
         logger.removeHandler(warnings)
         logger.propagate = propagate
 

@@ -45,6 +45,8 @@ class SplitSpec:
     assignment: dict[str, str] | None = None
 
     def __post_init__(self):
+        if any(part < 0 for part in self.ratios):
+            raise SplitError(f"split ratios must not be negative, got {self.ratios}")
         if sum(self.ratios) != 100:
             raise SplitError(f"split ratios must sum to 100, got {self.ratios}")
         if self.assignment:
@@ -274,6 +276,8 @@ def _instance_from_cells(cells: list[str], sent: Sentence, source: str, lineno: 
         for cell, bucket in zip(cells[3 * token.index : 3 * token.index + 3], (cue, scope, event)):
             if cell != "_":
                 bucket.add(cell_element(cell, token, source, lineno))
+    if not cue:
+        raise ParseError("replacement instance has no cue cell", source, lineno)
     return NegationInstance(frozenset(cue), frozenset(scope), frozenset(event))
 
 

@@ -26,12 +26,12 @@ from dataclasses import dataclass
 
 from .errors import GraphError, ParseError
 from .model import (
-    AnnotationElement,
     Corpus,
     Diagnostic,
     NegationInstance,
     Sentence,
     Token,
+    _whole_token,
     is_punct_surface,
 )
 
@@ -211,9 +211,9 @@ def decode(graph: NegDepGraph, kind: EncodingKind) -> list[NegationInstance]:
     for k, r in enumerate(reps):
         instances.append(
             NegationInstance(
-                cue=frozenset(AnnotationElement(t) for t in sorted(cue_tokens[r])),
-                scope=frozenset(AnnotationElement(t) for t in sorted(scope_of[r])),
-                event=frozenset(AnnotationElement(t) for t in sorted(events[r])),
+                cue=frozenset(map(_whole_token, sorted(cue_tokens[r]))),
+                scope=frozenset(map(_whole_token, sorted(scope_of[r]))),
+                event=frozenset(map(_whole_token, sorted(events[r]))),
                 instance_id=k,
             )
         )

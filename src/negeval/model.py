@@ -12,7 +12,11 @@ shared freely and processed in parallel.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import gc
 import logging
+import operator
 import unicodedata
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
@@ -78,21 +82,33 @@ class AnnotationElement:
         return token.surface if self.text is None else self.text
 
 
+@functools.lru_cache(maxsize=None)
+def _whole_token(index: int) -> AnnotationElement:
+    """The one shared whole-token element for ``index``.
+
+    Sharing lets set operations between gold and predicted elements stop at
+    CPython's identity check instead of calling ``__eq__``, and keeps held
+    corpora small.  Equality and hashing are by value as for any element.
+    """
+    return AnnotationElement(index)
+
+
 def element_for(token: Token, subspan: tuple[int, int] | None = None) -> AnnotationElement:
     """Build an element for ``token``, normalising full-surface sub-spans.
 
+    Whole-token elements are shared objects; sub-span elements are new ones.
     Raises ``ValueError`` when the sub-span does not satisfy
     ``0 <= start < end <= len(surface)``.
     """
     if subspan is None:
-        return AnnotationElement(token.index)
+        return _whole_token(token.index)
     start, end = subspan
     if not (0 <= start < end <= len(token.surface)):
         raise ValueError(
             f"subspan {subspan!r} out of bounds for token {token.surface!r} (index {token.index})"
         )
     if start == 0 and end == len(token.surface):
-        return AnnotationElement(token.index)
+        return _whole_token(token.index)
     return AnnotationElement(token.index, token.surface[start:end], (start, end))
 
 
@@ -167,9 +183,37 @@ class Diagnostic:
         return f"{self.level}[{self.code}]{where}: {self.message}"
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause cyclic GC for the block, then restore the caller's setting.
+
+    The model holds no reference cycles, so reference counting frees corpora
+    on its own and cyclic GC would only rescan them.  Nested use keeps the
+    outermost caller's setting.  As a decorator it resumes GC after the
+    call's frame, and with it every temporary, is gone.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def renumber(instances: Iterable[NegationInstance]) -> tuple[NegationInstance, ...]:
     """``instances`` with each ``instance_id`` set to the instance's position."""
     return tuple(NegationInstance(i.cue, i.scope, i.event, n) for n, i in enumerate(instances))
+
+
+_token_index = operator.attrgetter("token_index")
+
+
+def _without(elements: frozenset[AnnotationElement], punct: set[int]) -> frozenset[AnnotationElement]:
+    """``elements`` less those on a ``punct`` token; the same set if none is."""
+    if punct.isdisjoint(map(_token_index, elements)):
+        return elements
+    return frozenset(e for e in elements if e.token_index not in punct)
 
 
 def strip_punctuation(corpus: Corpus) -> Corpus:
@@ -177,8 +221,10 @@ def strip_punctuation(corpus: Corpus) -> Corpus:
 
     Tokens themselves are kept (indices never change); only the annotation
     sets shrink.  An instance whose cue consists solely of punctuation is
-    dropped with a warning, since it cannot take part in cue matching.
-    Idempotent.
+    dropped with a warning, since it cannot take part in cue matching.  In a
+    sentence with punctuation tokens the kept instances are renumbered by
+    position.  Sets, instances and sentences that this leaves unchanged are
+    returned as the same objects.  Idempotent.
     """
     out_sentences = []
     for sent in corpus.sentences:
@@ -187,8 +233,9 @@ def strip_punctuation(corpus: Corpus) -> Corpus:
             out_sentences.append(sent)
             continue
         kept: list[NegationInstance] = []
+        changed = False
         for inst in sent.instances:
-            cue = frozenset(e for e in inst.cue if e.token_index not in punct)
+            cue = _without(inst.cue, punct)
             if not cue:
                 logger.warning(
                     "dropping instance %d of %s#%d: cue is entirely punctuation",
@@ -196,11 +243,22 @@ def strip_punctuation(corpus: Corpus) -> Corpus:
                     sent.doc_id,
                     sent.sent_index,
                 )
+                changed = True
                 continue
-            scope = frozenset(e for e in inst.scope if e.token_index not in punct)
-            event = frozenset(e for e in inst.event if e.token_index not in punct)
-            kept.append(NegationInstance(cue, scope, event))
-        out_sentences.append(replace(sent, instances=renumber(kept)))
+            scope = _without(inst.scope, punct)
+            event = _without(inst.event, punct)
+            if (
+                cue is not inst.cue
+                or scope is not inst.scope
+                or event is not inst.event
+                or inst.instance_id != len(kept)
+            ):
+                inst = NegationInstance(cue, scope, event, len(kept))
+                changed = True
+            kept.append(inst)
+        out_sentences.append(
+            Sentence(sent.doc_id, sent.sent_index, sent.tokens, tuple(kept)) if changed else sent
+        )
     return replace(corpus, sentences=tuple(out_sentences))
 
 

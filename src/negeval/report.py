@@ -25,7 +25,7 @@ from .metrics import (
     scope_match,
     scope_tokens,
 )
-from .model import Corpus, strip_punctuation
+from .model import Corpus, _gc_paused, strip_punctuation
 
 SCHEMA_VERSION = 1
 
@@ -176,6 +176,7 @@ class MetricReport:
         return self.to_text()
 
 
+@_gc_paused()
 def full_report(
     gold: Corpus,
     pred: Corpus,
@@ -183,7 +184,13 @@ def full_report(
     keep_punct: bool = False,
     cns_all_sentences: bool = False,
 ) -> MetricReport:
-    """Compute every metric for a gold/predicted corpus pair."""
+    """Compute every metric for a gold/predicted corpus pair.
+
+    Runs with cyclic GC paused, as CLI commands do: scoring allocates many
+    small objects but creates no reference cycles.  GC comes back on only
+    after the stripped corpora and alignments are freed, so its next pass
+    has nothing of them to scan.
+    """
     if not keep_punct:
         gold = strip_punctuation(gold)
         pred = strip_punctuation(pred)

@@ -12,7 +12,7 @@ import pytest
 import negeval
 from conftest import fixture_path
 from negeval import load_sem_conll, parse_sem_conll
-from negeval.cli import EXIT_ALIGNMENT, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from negeval.cli import EXIT_ALIGNMENT, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SPLIT, EXIT_USAGE, main
 
 GOLD = str(fixture_path("two_systems_gold.conll"))
 SYS_A = str(fixture_path("two_systems_a.conll"))
@@ -269,6 +269,29 @@ def test_detect_coord_then_patch(capsys, tmp_path):
     assert code == EXIT_OK
     patched = parse_sem_conll(out)
     assert len(patched.sentences[0].instances) == 2
+
+
+def test_patch_replacement_without_cue_is_a_parse_error(capsys, tmp_path):
+    # written out, such an instance would fail every later command with empty-cue
+    n_tokens = len(load_sem_conll(GOLD).sentences[0].tokens)
+    patches = tmp_path / "no-cue.patch"
+    patches.write_text(
+        "target\tredcircle01\t0\t0\nreplace\t" + "\t".join(["_"] * (3 * n_tokens)) + "\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "patch", GOLD, "--patches", str(patches))
+    assert (code, out) == (EXIT_PARSE, "")
+    (line,) = err.splitlines()
+    assert line.startswith("negeval: parse-error:") and f"{patches}:2" in line
+
+
+def test_split_rejects_negative_ratios(capsys, tmp_path):
+    prefix = tmp_path / "parts"
+    code, _, err = run(capsys, "split", GOLD, "--ratios", "120/-10/-10", "--output-prefix", str(prefix))
+    assert code == EXIT_SPLIT
+    (line,) = err.splitlines()
+    assert line.startswith("negeval: split-error:")
+    assert not list(tmp_path.iterdir())
 
 
 def test_byte_determinism(capsys):

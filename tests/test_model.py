@@ -17,6 +17,8 @@ from negeval import (
     strip_punctuation,
     validate,
 )
+from conftest import fixture_path
+from negeval.conll import parse_sem_conll
 from negeval.testing import random_corpus
 
 
@@ -65,6 +67,21 @@ class TestElementEquality:
         assert a == b and b == a
         assert hash(a) == hash(b)
 
+    def test_whole_token_elements_are_shared_across_parses(self):
+        data = fixture_path("roundtrip.conll").read_bytes()
+        first, second = parse_sem_conll(data), parse_sem_conll(data)
+        (a,) = [e for e in first.sentences[0].instances[0].scope if e.token_index == 0]
+        (b,) = [e for e in second.sentences[0].instances[0].scope if e.token_index == 0]
+        assert a is b
+        fresh = AnnotationElement(0)
+        assert fresh is not a and a == fresh and hash(a) == hash(fresh)
+        # affix elements stay distinct objects, equal by value
+        (im_a,) = first.sentences[0].instances[0].cue
+        (im_b,) = second.sentences[0].instances[0].cue
+        assert (im_a.text, im_a.subspan) == ("im", (0, 2))
+        assert im_a is not im_b and im_a == im_b
+        assert im_a != AnnotationElement(2)
+
     def test_bad_subspan_rejected(self):
         token = Token(0, "cat")
         for span in ((0, 0), (2, 1), (0, 4), (-1, 2)):
@@ -98,6 +115,46 @@ class TestStripPunctuation:
     def test_sentence_without_instances_is_returned_as_is(self):
         sent = make_sentence(["Yes", "."], punct={1})
         assert strip_punctuation(Corpus((sent,))).sentences[0] is sent
+
+    def test_unchanged_instances_are_kept_as_they_are(self):
+        clean = NegationInstance(frozenset({AnnotationElement(0)}), frozenset({AnnotationElement(1)}))
+        touched = NegationInstance(
+            frozenset({AnnotationElement(3)}),
+            frozenset({AnnotationElement(2), AnnotationElement(4)}),
+            instance_id=1,
+        )
+        sent = make_sentence(["no", "x", ",", "not", "y"], punct={2}, instances=[clean, touched])
+        (out,) = strip_punctuation(Corpus((sent,))).sentences
+        assert out.instances[0] is clean
+        assert out.instances[1].cue is touched.cue and out.instances[1].event is touched.event
+        assert out.instances[1].scope == {AnnotationElement(4)}
+        untouched = make_sentence(["no", "x", ","], punct={2}, instances=[clean])
+        assert strip_punctuation(Corpus((untouched,))).sentences[0] is untouched
+
+    def test_non_positional_ids_are_renumbered_where_punctuation_is(self):
+        def inst(cue, scope, instance_id):
+            return NegationInstance(
+                frozenset(map(AnnotationElement, cue)), frozenset(map(AnnotationElement, scope)),
+                instance_id=instance_id,
+            )
+
+        with_punct = make_sentence(
+            ["no", "x", ",", "not", "y"], punct={2}, instances=[inst([0], [1], 5), inst([3], [2, 4], 3)]
+        )
+        without_punct = Sentence("d", 1, with_punct.tokens[:2], (inst([0], [1], 7),))
+        out = strip_punctuation(Corpus((with_punct, without_punct)))
+        assert out == Corpus((
+            Sentence("d", 0, with_punct.tokens, (inst([0], [1], 0), inst([3], [4], 1))),
+            without_punct,
+        ))
+        assert out.sentences[1] is without_punct
+
+    def test_dropped_instances_are_reported_in_order(self, caplog):
+        only_punct = [NegationInstance(frozenset({AnnotationElement(i)}), instance_id=i) for i in (1, 2)]
+        sent = make_sentence(["no", "!", "?"], punct={1, 2}, instances=only_punct)
+        with caplog.at_level("WARNING", logger="negeval"):
+            assert strip_punctuation(Corpus((sent,))).sentences[0].instances == ()
+        assert [r.getMessage()[:19] for r in caplog.records] == ["dropping instance 1", "dropping instance 2"]
 
     def test_drops_instance_with_all_punct_cue(self):
         inst_punct = NegationInstance(cue=frozenset({AnnotationElement(1)}))

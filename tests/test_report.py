@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 
-from negeval import full_report
+import pytest
+
+import negeval.report
+from negeval import AlignmentError, Corpus, full_report
 from negeval.metrics import percent
 from negeval.report import METRIC_ORDER, MetricReport
 from negeval.testing import perturb_predictions, random_corpus
@@ -87,3 +91,47 @@ def test_determinism(gold_corpus, system_a):
     assert r1.to_json() == r2.to_json()
     assert r1.to_tsv() == r2.to_tsv()
     assert r1.to_text() == r2.to_text()
+
+
+@pytest.fixture
+def restore_gc():
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_full_report_pauses_gc_and_restores_the_callers_state(
+    gold_corpus, system_a, monkeypatch, restore_gc, enabled
+):
+    seen = []
+
+    def spy(real):
+        def wrapper(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("strip_punctuation", "correct_sentence_ratio"):
+        monkeypatch.setattr(negeval.report, name, spy(getattr(negeval.report, name)))
+    (gc.enable if enabled else gc.disable)()
+    full_report(gold_corpus, system_a)
+    assert gc.isenabled() is enabled
+    assert seen == [False, False, False]
+    # a different sentence set makes the pairing raise inside full_report
+    with pytest.raises(AlignmentError):
+        full_report(gold_corpus, Corpus(system_a.sentences[1:]))
+    assert gc.isenabled() is enabled
+
+
+def test_repeated_reports_leave_no_garbage_cycles(gold_corpus, system_a, restore_gc):
+    def unreachable_after(calls: int) -> int:
+        gc.collect()
+        gc.disable()
+        for _ in range(calls):
+            full_report(gold_corpus, system_a)
+        return gc.collect()
+
+    once = unreachable_after(1)
+    assert unreachable_after(20) <= once
