@@ -43,7 +43,7 @@ from .errors import (
 )
 from .metrics import percent
 from .model import Corpus, _gc_paused, strip_punctuation, validate
-from .report import METRIC_ORDER, SCHEMA_VERSION, full_report
+from .report import METRIC_ORDER, SCHEMA_VERSION, _json_text, full_report
 from .sfu import load_sfu
 from .tokenizer import TokenizerConfig
 
@@ -78,11 +78,11 @@ def _sniff_format(path: Path) -> str:
     return "conll"
 
 
-def _load_corpus(path_text: str, args) -> Corpus:
+def _load_corpus(path_text: str, args, tokens_from: Corpus | None = None) -> Corpus:
     path = Path(path_text)
     fmt = getattr(args, "format", None) or _sniff_format(path)
     if fmt == "conll":
-        corpus = load_sem_conll(path)
+        corpus = load_sem_conll(path, tokens_from=tokens_from)
     elif fmt == "bioscope":
         tokenizer = (
             TokenizerConfig.from_file(args.tokenizer) if getattr(args, "tokenizer", None) else None
@@ -107,7 +107,7 @@ def _emit(args, text: str) -> None:
 
 def cmd_evaluate(args) -> int:
     gold = _load_corpus(args.gold, args)
-    pred = _load_corpus(args.pred, args)
+    pred = _load_corpus(args.pred, args, tokens_from=gold)
     report = full_report(
         gold, pred, keep_punct=args.keep_punct, cns_all_sentences=args.cns_all_sentences
     )
@@ -123,8 +123,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     gold = _load_corpus(args.gold, args)
-    pred_a = _load_corpus(args.pred_a, args)
-    pred_b = _load_corpus(args.pred_b, args)
+    pred_a = _load_corpus(args.pred_a, args, tokens_from=gold)
+    pred_b = _load_corpus(args.pred_b, args, tokens_from=gold)
     report_a = full_report(gold, pred_a, keep_punct=args.keep_punct)
     report_b = full_report(gold, pred_b, keep_punct=args.keep_punct)
     if args.out == "json":
@@ -136,7 +136,7 @@ def cmd_compare(args) -> int:
                 key: report_b.metrics[key].f1 - report_a.metrics[key].f1 for key in METRIC_ORDER
             },
         }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, _json_text(payload) + "\n")
         return EXIT_OK
     lines = ["metric\tA_p\tA_r\tA_f1\tB_p\tB_r\tB_f1\tdelta_f1"]
     for key in METRIC_ORDER:

@@ -11,7 +11,9 @@ sentences.
 
 from __future__ import annotations
 
-from typing import IO
+import itertools
+import operator
+from typing import IO, Iterator
 
 from .errors import ParseError
 from .model import (
@@ -39,12 +41,23 @@ def _decode(data: str | bytes | IO, source: str) -> str:
         raise ParseError(f"not valid UTF-8: {exc.reason} at byte {exc.start}", source) from None
 
 
-def _split_columns(line: str) -> list[str]:
-    # Tab-separated is canonical; fall back to whitespace runs for
-    # space-padded variants of the format.
-    if "\t" in line:
-        return line.split("\t")
-    return line.split()
+def _blocks(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Each block of non-blank lines, with the number of its first line.
+
+    Lines end at a line feed and lose any trailing carriage returns; a line
+    of whitespace ends a block as an empty one does.
+    """
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    start = 0
+    for end, line in enumerate(lines):
+        if not line or line.isspace():
+            if start < end:
+                yield start + 1, lines[start:end]
+            start = end + 1
+    if start < len(lines):
+        yield start + 1, lines[start:]
 
 
 def cell_element(cell: str, token: Token, source: str, lineno: int) -> AnnotationElement:
@@ -65,33 +78,46 @@ def parse_sem_conll(
     name: str = "",
     source: str = "<string>",
     punct_pos: frozenset[str] = DEFAULT_PUNCT_POS,
+    *,
+    tokens_from: Corpus | None = None,
 ) -> Corpus:
     """Parse CoNLL negation data into a :class:`Corpus`.
 
     Raises :class:`ParseError` (with line numbers) for ragged column counts,
-    annotation cells that do not occur in their token's surface, and ``***``
-    cells mixed with instance cells.
+    annotation cells that do not occur in their token's surface, ``***``
+    cells mixed with instance cells and instances without a cue cell.
+
+    A sentence whose key is in ``tokens_from`` and whose rows give the same
+    tokens as that sentence's reuses its token tuple, so a prediction file
+    read with ``tokens_from=gold`` does not build the gold's tokens again.
     """
     text = _decode(data, source)
-    sentences: list[Sentence] = []
-    block: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            if block:
-                sentences.append(_parse_sentence(block, source, punct_pos))
-                block = []
-            continue
-        block.append((lineno, _split_columns(line)))
-    if block:
-        sentences.append(_parse_sentence(block, source, punct_pos))
+    known = {} if tokens_from is None else {s.key: s.tokens for s in tokens_from.sentences}
+    sentences = [
+        _parse_sentence(lines, first_line, source, punct_pos, known)
+        for first_line, lines in _blocks(text)
+    ]
     return Corpus(tuple(sentences), name=name)
 
 
+_token_fields = operator.attrgetter("index", "surface", "lemma", "pos", "is_punct")
+
+
+#: The token-number column as written, for sentences of up to 256 tokens.
+_NUMBERS = [str(i) for i in range(256)]
+
+
 def _parse_sentence(
-    block: list[tuple[int, list[str]]], source: str, punct_pos: frozenset[str]
+    lines: list[str],
+    first_line: int,
+    source: str,
+    punct_pos: frozenset[str],
+    known: dict[tuple[str, int], tuple[Token, ...]],
 ) -> Sentence:
-    first_line, first_cols = block[0]
+    # Tab-separated is canonical; fall back to whitespace runs for
+    # space-padded variants of the format.
+    rows = [line.split("\t") if "\t" in line else line.split() for line in lines]
+    first_cols = rows[0]
     width = len(first_cols)
     if width < _FIXED_COLUMNS + 1:
         raise ParseError(
@@ -105,12 +131,82 @@ def _parse_sentence(
             source,
             first_line,
         )
-
-    tokens: list[Token] = []
-    rows: list[tuple[int, list[str]]] = []
     doc_id = first_cols[0]
     sent_no = _parse_int(first_cols[1], source, first_line, "sentence number")
-    for position, (lineno, cols) in enumerate(block):
+
+    # Column j is cells[j::width].  Slicing one flat list, rather than
+    # zip(*rows), frees no tuples: CPython 3.11 never reuses a freed
+    # 20-item tuple, so a zip would keep ~0.4 MB of them on a free list.
+    n = len(rows)
+    if len(set(map(len, rows))) != 1:
+        _check_rows(rows, width, has_negation, source, first_line)
+    cells = list(itertools.chain.from_iterable(rows))
+    numbers, surfaces = cells[2::width], cells[3::width]
+    annotation = [cells[j::width] for j in range(_FIXED_COLUMNS, width)]
+    # Checks over whole columns pass for well-formed rows; otherwise the
+    # row walk finds the first error, or accepts the rows (a token number
+    # "01", a sentence longer than _NUMBERS).
+    if not (
+        numbers == _NUMBERS[:n]
+        and all(surfaces)
+        and (
+            not any(_NO_NEG in column for column in annotation)
+            if has_negation
+            else annotation[0].count(_NO_NEG) == n
+        )
+    ):
+        _check_rows(rows, width, has_negation, source, first_line)
+    lemmas, tags = _optional(cells[4::width]), _optional(cells[5::width])
+    puncts = list(map(detect_punct, surfaces, tags, itertools.repeat(punct_pos, n)))
+    tokens = known.get((doc_id, sent_no))
+    if tokens is None or list(map(_token_fields, tokens)) != list(
+        zip(range(n), surfaces, lemmas, tags, puncts)
+    ):
+        # from a list, the tuple is allocated at its exact size
+        tokens = tuple(list(map(Token, range(n), surfaces, lemmas, tags, puncts)))
+
+    instances = []
+    for k in range(extra // 3 if has_negation else 0):
+        triple = annotation[3 * k : 3 * k + 3]
+        try:
+            cue, scope, event = (
+                _element_set(column, tokens, source, first_line) for column in triple
+            )
+        except (ParseError, ValueError):
+            _check_cells(triple, tokens, source, first_line)
+            raise
+        if not cue:
+            raise ParseError(f"instance {k} of {doc_id}#{sent_no} has no cue cell", source, first_line)
+        instances.append(NegationInstance(cue, scope, event, k))
+    return Sentence(doc_id, sent_no, tokens, tuple(instances))
+
+
+def _optional(column: list[str]) -> list[str | None]:
+    """``column`` with each ``_`` cell read as ``None``."""
+    if _EMPTY not in column:
+        return column
+    return [None if cell == _EMPTY else cell for cell in column]
+
+
+def _element_set(
+    column: list[str], tokens: tuple[Token, ...], source: str, first_line: int
+) -> frozenset[AnnotationElement]:
+    return frozenset(
+        {
+            cell_element(cell, tokens[i], source, first_line + i)
+            for i, cell in enumerate(column)
+            if cell != _EMPTY
+        }
+    )
+
+
+def _check_rows(
+    rows: list[list[str]], width: int, has_negation: bool, source: str, first_line: int
+) -> None:
+    """Raise the first row error in reading order: width, token number,
+    surface, then the ``***`` cells."""
+    for position, cols in enumerate(rows):
+        lineno = first_line + position
         if len(cols) != width:
             raise ParseError(
                 f"expected {width} columns as in the first row of the sentence, found {len(cols)}",
@@ -124,20 +220,8 @@ def _parse_sentence(
                 source,
                 lineno,
             )
-        surface = cols[3]
-        if not surface:
+        if not cols[3]:
             raise ParseError("empty token surface", source, lineno)
-        lemma = None if cols[4] == _EMPTY else cols[4]
-        pos = None if cols[5] == _EMPTY else cols[5]
-        tokens.append(
-            Token(
-                index=position,
-                surface=surface,
-                lemma=lemma,
-                pos=pos,
-                is_punct=detect_punct(surface, pos, punct_pos),
-            )
-        )
         annotation = cols[_FIXED_COLUMNS:]
         if has_negation:
             if _NO_NEG in annotation:
@@ -148,23 +232,17 @@ def _parse_sentence(
                 source,
                 lineno,
             )
-        rows.append((lineno, annotation))
 
-    instances: list[NegationInstance] = []
-    if has_negation:
-        for k in range(extra // 3):
-            cue: set[AnnotationElement] = set()
-            scope: set[AnnotationElement] = set()
-            event: set[AnnotationElement] = set()
-            for (lineno, annotation), token in zip(rows, tokens):
-                cells = annotation[3 * k : 3 * k + 3]
-                for cell, bucket in zip(cells, (cue, scope, event)):
-                    if cell != _EMPTY:
-                        bucket.add(cell_element(cell, token, source, lineno))
-            instances.append(
-                NegationInstance(frozenset(cue), frozenset(scope), frozenset(event), instance_id=k)
-            )
-    return Sentence(doc_id=doc_id, sent_index=sent_no, tokens=tuple(tokens), instances=tuple(instances))
+
+def _check_cells(
+    cells: list[list[str]], tokens: tuple[Token, ...], source: str, first_line: int
+) -> None:
+    """Raise the first bad cell of an instance, row by row and then cue,
+    scope, event."""
+    for i, row in enumerate(zip(*cells)):
+        for cell in row:
+            if cell != _EMPTY:
+                cell_element(cell, tokens[i], source, first_line + i)
 
 
 def _parse_int(cell: str, source: str, lineno: int, what: str) -> int:
@@ -226,9 +304,21 @@ def _annotation_cells(sent: Sentence):
     return cue_cells, scope_cells, event_cells
 
 
-def load_sem_conll(path, name: str | None = None, punct_pos: frozenset[str] = DEFAULT_PUNCT_POS) -> Corpus:
+def load_sem_conll(
+    path,
+    name: str | None = None,
+    punct_pos: frozenset[str] = DEFAULT_PUNCT_POS,
+    *,
+    tokens_from: Corpus | None = None,
+) -> Corpus:
     with open(path, "rb") as handle:
-        return parse_sem_conll(handle, name=name if name is not None else str(path), source=str(path), punct_pos=punct_pos)
+        return parse_sem_conll(
+            handle,
+            name=name if name is not None else str(path),
+            source=str(path),
+            punct_pos=punct_pos,
+            tokens_from=tokens_from,
+        )
 
 
 def dump_sem_conll(corpus: Corpus, path) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .conll import _blocks
 from .errors import GraphError, ParseError
 from .model import (
     Corpus,
@@ -246,28 +247,16 @@ def encode_corpus(corpus: Corpus, kind: EncodingKind, diagnostics: list[Diagnost
 
 def parse_graph_corpus(text: str, source: str = "<string>") -> list[tuple[str, int, tuple[str, ...], NegDepGraph]]:
     """Parse serialised graphs back into (doc_id, sent_index, surfaces, graph)."""
-    results = []
-    block: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            if block:
-                results.append(_parse_graph_block(block, source))
-                block = []
-            continue
-        block.append((lineno, line))
-    if block:
-        results.append(_parse_graph_block(block, source))
-    return results
+    return [_parse_graph_block(lines, first_line, source) for first_line, lines in _blocks(text)]
 
 
-def _parse_graph_block(block: list[tuple[int, str]], source: str):
+def _parse_graph_block(lines: list[str], first_line: int, source: str):
     doc_id = ""
     sent_index = 0
     surfaces: list[str] = []
     edges: set[Edge] = set()
     heads: list[tuple[int, int]] = []  # (1-based head, line), checked once n is known
-    for lineno, line in block:
+    for lineno, line in enumerate(lines, first_line):
         if line.startswith("#doc "):
             doc_id = line[len("#doc ") :]
             continue

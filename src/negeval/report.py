@@ -55,6 +55,25 @@ _LABELS = {
 }
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for dicts with string keys, lists and leaves.
+
+    The layout is built here and ``json.dumps`` only sees leaves, because its
+    pure-Python ``indent`` encoder leaves a reference cycle of closures
+    behind on every call.
+    """
+    if isinstance(value, (dict, list, tuple)) and value:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [
+                f"{inner}{json.dumps(key)}: {_json_text(item, inner)}" for key, item in value.items()
+            ]
+            return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+        items = [inner + _json_text(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 @dataclass(frozen=True)
 class MetricReport:
     metrics: dict[str, PRF]
@@ -89,7 +108,7 @@ class MetricReport:
                 "percent": percent(self.sentence_accuracy.ratio),
             },
         }
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        return _json_text(payload) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "MetricReport":

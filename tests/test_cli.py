@@ -285,6 +285,48 @@ def test_patch_replacement_without_cue_is_a_parse_error(capsys, tmp_path):
     assert line.startswith("negeval: parse-error:") and f"{patches}:2" in line
 
 
+def test_instance_without_cue_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "no-cue.conll"
+    bad.write_text(
+        "d\t0\t0\tnot\tnot\tRB\t_\tnot\t_\t_\t_\t_\t_\n"
+        "d\t0\t1\tgood\tgood\tJJ\t_\t_\tgood\t_\t_\tgood\t_\n",
+        encoding="utf-8",
+    )
+    for argv in (("evaluate", "--gold", str(bad), "--pred", str(bad)), ("stats", str(bad))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        (line,) = err.splitlines()
+        assert line.startswith(f"negeval: parse-error: {bad}:1: ")
+
+
+def test_evaluate_reads_predictions_with_the_gold_tokens(capsys, monkeypatch):
+    import negeval.conll
+
+    calls = []
+    real = negeval.conll.parse_sem_conll
+
+    def counting(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((kwargs.get("tokens_from"), result))
+        return result
+
+    monkeypatch.setattr(negeval.conll, "parse_sem_conll", counting)
+    code, out, _ = run(capsys, "evaluate", "--gold", GOLD, "--pred", SYS_A, "--out", "json")
+    assert code == EXIT_OK
+    assert len(calls) == 2
+    (no_tokens, gold), (tokens_from, pred) = calls
+    assert no_tokens is None and tokens_from is gold
+    assert all(p.tokens is g.tokens for p, g in zip(pred.sentences, gold.sentences))
+    monkeypatch.undo()
+    assert run(capsys, "evaluate", "--gold", GOLD, "--pred", SYS_A, "--out", "json")[1] == out
+
+
+def test_compare_json_is_laid_out_as_json_dumps_does(capsys):
+    code, out, _ = run(capsys, "compare", "--gold", GOLD, "--pred-a", SYS_A, "--pred-b", SYS_B, "--out", "json")
+    assert code == EXIT_OK
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_split_rejects_negative_ratios(capsys, tmp_path):
     prefix = tmp_path / "parts"
     code, _, err = run(capsys, "split", GOLD, "--ratios", "120/-10/-10", "--output-prefix", str(prefix))

@@ -135,3 +135,30 @@ def test_repeated_reports_leave_no_garbage_cycles(gold_corpus, system_a, restore
 
     once = unreachable_after(1)
     assert unreachable_after(20) <= once
+
+
+@pytest.mark.parametrize("keep_punct", [False, True])
+@pytest.mark.parametrize("cns_all_sentences", [False, True])
+def test_to_json_is_laid_out_as_json_dumps_does(gold_corpus, system_a, system_b, keep_punct, cns_all_sentences):
+    for pred in (system_a, system_b, gold_corpus):
+        text = full_report(
+            gold_corpus, pred, keep_punct=keep_punct, cns_all_sentences=cns_all_sentences
+        ).to_json()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{}, [], (), {"a": []}, {"a": {}}, [1, [2, {}], "xé\n", None, True, 1.5, float("nan"), -0.0], {"k": {"z": (1.0, 2)}}],
+)
+def test_json_writer_matches_json_dumps_on_edge_cases(value):
+    assert negeval.report._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_to_json_leaves_no_garbage_cycles(gold_corpus, system_a, restore_gc):
+    report = full_report(gold_corpus, system_a)
+    gc.collect()
+    gc.disable()
+    for _ in range(10):
+        report.to_json()
+    assert gc.collect() == 0
