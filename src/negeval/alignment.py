@@ -24,14 +24,6 @@ class CueMatchMode(enum.Enum):
     PARTIAL = "partial"
 
 
-def _cues_match(gold: NegationInstance, pred: NegationInstance, mode: CueMatchMode) -> bool:
-    if not gold.cue or not pred.cue:
-        return False
-    if mode is CueMatchMode.EXACT:
-        return gold.cue == pred.cue
-    return bool(gold.cue & pred.cue)
-
-
 @dataclass(frozen=True)
 class InstanceAlignment:
     """Alignment result for one sentence.
@@ -64,38 +56,51 @@ def _sort_key(inst: NegationInstance) -> tuple[int, int]:
     return (inst.first_cue_index(), inst.instance_id)
 
 
+def _check_tokens(gold: Sentence, pred: Sentence) -> None:
+    """Raise :class:`AlignmentError` unless the paired sentences' token
+    surfaces are equal; a shared token tuple passes at once."""
+    if gold.tokens is pred.tokens or gold.surfaces() == pred.surfaces():
+        return
+    if len(gold.tokens) != len(pred.tokens):
+        detail = f"{len(gold.tokens)} gold vs {len(pred.tokens)} predicted tokens"
+    else:
+        diff = next((g, p) for g, p in zip(gold.tokens, pred.tokens) if g.surface != p.surface)
+        detail = f"token {diff[0].index}: {diff[0].surface!r} vs {diff[1].surface!r}"
+    raise AlignmentError(f"token sequences differ for sentence {gold.key}: {detail}")
+
+
+def _match(
+    gold_order: list[NegationInstance], pred_order: list[NegationInstance], mode: CueMatchMode
+) -> tuple[list, list, list, list]:
+    """The greedy matching of instances already sorted by ``_sort_key``.
+
+    Returns ``(matched, unmatched_gold, unmatched_pred, partial_only_pred)``
+    as lists, the last two in ``pred_order``.  Instances with an empty cue
+    match nothing.
+    """
+    free = list(pred_order)
+    matched: list[tuple[NegationInstance, NegationInstance]] = []
+    unmatched_gold: list[NegationInstance] = []
+    exact = mode is CueMatchMode.EXACT
+    for g in gold_order:
+        cue = g.cue
+        for slot, p in enumerate(free if cue else ()):
+            if cue == p.cue if exact else not cue.isdisjoint(p.cue):
+                matched.append((g, free.pop(slot)))
+                break
+        else:
+            unmatched_gold.append(g)
+    partial_only = [p for p in free if any(not p.cue.isdisjoint(g.cue) for g in gold_order)]
+    return matched, unmatched_gold, free, partial_only
+
+
 def align(gold: Sentence, pred: Sentence, mode: CueMatchMode = CueMatchMode.EXACT) -> InstanceAlignment:
     """Align the instances of one gold/predicted sentence pair."""
     if gold.key != pred.key:
         raise AlignmentError(f"sentence keys differ: {gold.key} vs {pred.key}")
-    if gold.surfaces() != pred.surfaces():
-        if len(gold.tokens) != len(pred.tokens):
-            detail = f"{len(gold.tokens)} gold vs {len(pred.tokens)} predicted tokens"
-        else:
-            diff = next(
-                (g, p) for g, p in zip(gold.tokens, pred.tokens) if g.surface != p.surface
-            )
-            detail = f"token {diff[0].index}: {diff[0].surface!r} vs {diff[1].surface!r}"
-        raise AlignmentError(f"token sequences differ for sentence {gold.key}: {detail}")
-
-    gold_order = sorted(gold.instances, key=_sort_key)
-    pred_order = sorted(pred.instances, key=_sort_key)
-    taken: set[int] = set()
-    matched: list[tuple[NegationInstance, NegationInstance]] = []
-    unmatched_gold: list[NegationInstance] = []
-    for g in gold_order:
-        for slot, p in enumerate(pred_order):
-            if slot in taken or not _cues_match(g, p, mode):
-                continue
-            taken.add(slot)
-            matched.append((g, p))
-            break
-        else:
-            unmatched_gold.append(g)
-
-    unmatched_pred = [p for slot, p in enumerate(pred_order) if slot not in taken]
-    partial_only = tuple(
-        p for p in unmatched_pred if any(p.cue & g.cue for g in gold.instances)
+    _check_tokens(gold, pred)
+    matched, unmatched_gold, unmatched_pred, partial_only = _match(
+        sorted(gold.instances, key=_sort_key), sorted(pred.instances, key=_sort_key), mode
     )
     return InstanceAlignment(
         doc_id=gold.doc_id,
@@ -104,7 +109,7 @@ def align(gold: Sentence, pred: Sentence, mode: CueMatchMode = CueMatchMode.EXAC
         matched=tuple(matched),
         unmatched_gold=tuple(unmatched_gold),
         unmatched_pred=tuple(unmatched_pred),
-        partial_only_pred=partial_only,
+        partial_only_pred=tuple(partial_only),
     )
 
 

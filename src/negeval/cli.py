@@ -12,7 +12,6 @@ stderr; warnings that do not stop a command are ``negeval: warning:
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -130,8 +129,8 @@ def cmd_compare(args) -> int:
     if args.out == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "system_a": json.loads(report_a.to_json()),
-            "system_b": json.loads(report_b.to_json()),
+            "system_a": report_a._payload(),
+            "system_b": report_b._payload(),
             "delta_f1": {
                 key: report_b.metrics[key].f1 - report_a.metrics[key].f1 for key in METRIC_ORDER
             },

@@ -63,6 +63,8 @@ def _blocks(text: str) -> Iterator[tuple[int, list[str]]]:
 def cell_element(cell: str, token: Token, source: str, lineno: int) -> AnnotationElement:
     if cell == token.surface:
         return element_for(token)
+    if not cell:
+        raise ParseError("empty annotation cell", source, lineno)
     start = token.surface.find(cell)
     if start < 0:
         raise ParseError(
@@ -172,7 +174,7 @@ def _parse_sentence(
             cue, scope, event = (
                 _element_set(column, tokens, source, first_line) for column in triple
             )
-        except (ParseError, ValueError):
+        except ParseError:
             _check_cells(triple, tokens, source, first_line)
             raise
         if not cue:

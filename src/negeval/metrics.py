@@ -139,6 +139,103 @@ EXACT_SCORER = ScopeScorer("exact", exact_match_scores)
 
 
 # ---------------------------------------------------------------------------
+# Counts
+
+
+class _Tally:
+    """Every count behind the corpus-level scores, added one sentence at a time.
+
+    ``add`` takes one sentence's matching in one cue-match mode and counts
+    cues, per mode.  ``add_scopes`` takes the same sentence's exact matching
+    and counts scopes, with the sums of the per-instance ``scorers``.
+    ``add_sentence`` counts CNS.  Sums are added in the order the sentences
+    and their matched pairs arrive.
+    """
+
+    __slots__ = ("cues", "scope_tp", "overlap", "gold_mass", "pred_mass", "sums", "cns_correct", "cns_total")
+
+    def __init__(self, scorers: Sequence[ScopeScorer] = ()) -> None:
+        # per mode: [matched, unmatched predictions overlapping no gold cue, gold, predictions]
+        self.cues = {mode: [0, 0, 0, 0] for mode in CueMatchMode}
+        self.scope_tp = self.overlap = self.gold_mass = self.pred_mass = 0
+        self.sums = {scorer: [0.0, 0.0] for scorer in scorers}
+        self.cns_correct = self.cns_total = 0
+
+    def add(self, mode: CueMatchMode, matched, unmatched_gold, unmatched_pred, partial_only_pred) -> None:
+        n_matched = len(matched)
+        counts = self.cues[mode]
+        counts[0] += n_matched
+        counts[1] += len(unmatched_pred) - len(partial_only_pred)
+        counts[2] += n_matched + len(unmatched_gold)
+        counts[3] += n_matched + len(unmatched_pred)
+
+    def add_scopes(self, matched, unmatched_gold, unmatched_pred) -> None:
+        sums = self.sums.items()
+        for g, p in matched:
+            s_g, s_p = g.scope, p.scope
+            self.scope_tp += s_g == s_p
+            self.overlap += len(s_g & s_p)
+            self.gold_mass += len(s_g)
+            self.pred_mass += len(s_p)
+            for scorer, pair in sums:
+                p_score, r_score = scorer.score(s_g, s_p)
+                pair[0] += p_score
+                pair[1] += r_score
+        for g in unmatched_gold:
+            self.gold_mass += len(g.scope)
+        for p in unmatched_pred:
+            self.pred_mass += len(p.scope)
+
+    def add_sentence(self, gold_instances, pred_instances, count_all_sentences: bool) -> None:
+        """Count one sentence pair for CNS: instances compare as (cue set,
+        scope set) multisets."""
+        if not count_all_sentences and not gold_instances:
+            return
+        self.cns_total += 1
+        if len(gold_instances) != len(pred_instances):
+            return
+        if len(gold_instances) == 1:
+            same = instance_signature(gold_instances[0]) == instance_signature(pred_instances[0])
+        else:
+            same = Counter(map(instance_signature, gold_instances)) == Counter(
+                map(instance_signature, pred_instances)
+            )
+        self.cns_correct += same
+
+    def cue_prf(self, mode: CueMatchMode, variant: str) -> PRF:
+        tp, no_overlap, n_gold, n_pred = self.cues[mode]
+        return PRF.from_counts(tp, n_pred if variant == "b" else tp + no_overlap, tp, n_gold)
+
+    def scope_match_prf(self, variant: str) -> PRF:
+        _, no_overlap, n_gold, n_pred = self.cues[CueMatchMode.EXACT]
+        tp = self.scope_tp
+        return PRF.from_counts(tp, n_pred if variant == "b" else tp + no_overlap, tp, n_gold)
+
+    def scope_tokens_prf(self) -> PRF:
+        return PRF.from_counts(self.overlap, self.pred_mass, self.overlap, self.gold_mass)
+
+    def instance_prf(self, scorer: ScopeScorer) -> PRF:
+        _, _, n_gold, n_pred = self.cues[CueMatchMode.EXACT]
+        p_sum, r_sum = self.sums[scorer]
+        return PRF.from_counts(p_sum, n_pred, r_sum, n_gold)
+
+    def sentence_accuracy(self) -> SentenceAccuracy:
+        return SentenceAccuracy(self.cns_correct, self.cns_total)
+
+
+def _fold(
+    alignments: Sequence[InstanceAlignment], scopes: bool = False, scorers: Sequence[ScopeScorer] = ()
+) -> _Tally:
+    """A tally of ``alignments``; the scope counts only with ``scopes``."""
+    tally = _Tally(scorers)
+    for a in alignments:
+        tally.add(a.mode, a.matched, a.unmatched_gold, a.unmatched_pred, a.partial_only_pred)
+        if scopes:
+            tally.add_scopes(a.matched, a.unmatched_gold, a.unmatched_pred)
+    return tally
+
+
+# ---------------------------------------------------------------------------
 # Corpus-level scores
 
 
@@ -149,18 +246,6 @@ def _require_mode(alignments: Sequence[InstanceAlignment], mode: CueMatchMode, c
                 f"{caller}: alignment for {alignment.doc_id}#{alignment.sent_index} was built "
                 f"with {alignment.mode.value!r} cue matching, requested {mode.value!r}"
             )
-
-
-def _totals(alignments: Sequence[InstanceAlignment]) -> tuple[int, int]:
-    return (
-        sum(a.n_gold for a in alignments),
-        sum(a.n_pred for a in alignments),
-    )
-
-
-def _unmatched_without_overlap(alignments: Sequence[InstanceAlignment]) -> int:
-    """Unmatched predictions whose cue overlaps no gold cue."""
-    return sum(len(a.unmatched_pred) - len(a.partial_only_pred) for a in alignments)
 
 
 def instance_scores(
@@ -174,15 +259,7 @@ def instance_scores(
     instances, recall by the number of gold instances.
     """
     _require_mode(alignments, CueMatchMode.EXACT, "instance_scores")
-    n_gold, n_pred = _totals(alignments)
-    p_sum = 0.0
-    r_sum = 0.0
-    for alignment in alignments:
-        for g, p in alignment.matched:
-            p_score, r_score = scorer.score(g.scope, p.scope)
-            p_sum += p_score
-            r_sum += r_score
-    return PRF.from_counts(p_sum, n_pred, r_sum, n_gold)
+    return _fold(alignments, scopes=True, scorers=(scorer,)).instance_prf(scorer)
 
 
 def scope_tokens(alignments: Sequence[InstanceAlignment]) -> PRF:
@@ -193,17 +270,7 @@ def scope_tokens(alignments: Sequence[InstanceAlignment]) -> PRF:
     or not.  A token belonging to several scopes counts once per scope.
     """
     _require_mode(alignments, CueMatchMode.EXACT, "scope_tokens")
-    overlap = 0
-    pred_mass = 0
-    gold_mass = 0
-    for alignment in alignments:
-        for g, p in alignment.matched:
-            overlap += len(g.scope & p.scope)
-            pred_mass += len(p.scope)
-            gold_mass += len(g.scope)
-        pred_mass += sum(len(p.scope) for p in alignment.unmatched_pred)
-        gold_mass += sum(len(g.scope) for g in alignment.unmatched_gold)
-    return PRF.from_counts(overlap, pred_mass, overlap, gold_mass)
+    return _fold(alignments, scopes=True).scope_tokens_prf()
 
 
 def scope_match(alignments: Sequence[InstanceAlignment], variant: str = "standard") -> PRF:
@@ -218,11 +285,7 @@ def scope_match(alignments: Sequence[InstanceAlignment], variant: str = "standar
     """
     _require_mode(alignments, CueMatchMode.EXACT, "scope_match")
     _check_variant(variant)
-    n_gold, n_pred = _totals(alignments)
-    tp = sum(1 for a in alignments for g, p in a.matched if g.scope == p.scope)
-    if variant == "b":
-        return PRF.from_counts(tp, n_pred, tp, n_gold)
-    return PRF.from_counts(tp, tp + _unmatched_without_overlap(alignments), tp, n_gold)
+    return _fold(alignments, scopes=True).scope_match_prf(variant)
 
 
 def cue_scores(
@@ -239,11 +302,7 @@ def cue_scores(
     """
     _check_variant(variant)
     _require_mode(alignments, mode, "cue_scores")
-    n_gold, n_pred = _totals(alignments)
-    tp = sum(len(a.matched) for a in alignments)
-    if variant == "b":
-        return PRF.from_counts(tp, n_pred, tp, n_gold)
-    return PRF.from_counts(tp, tp + _unmatched_without_overlap(alignments), tp, n_gold)
+    return _fold(alignments).cue_prf(mode, variant)
 
 
 def _check_variant(variant: str) -> None:
@@ -275,14 +334,7 @@ def correct_sentence_ratio(
     :class:`AlignmentError`, as ``align_corpus`` does, when either corpus
     repeats a sentence key or a key is missing on either side.
     """
-    correct = 0
-    total = 0
+    tally = _Tally()
     for sent, pred_sent in _sentence_pairs(gold, pred):
-        if not count_all_sentences and not sent.instances:
-            continue
-        total += 1
-        gold_sig = Counter(map(instance_signature, sent.instances))
-        pred_sig = Counter(map(instance_signature, pred_sent.instances))
-        if gold_sig == pred_sig:
-            correct += 1
-    return SentenceAccuracy(correct, total)
+        tally.add_sentence(sent.instances, pred_sent.instances, count_all_sentences)
+    return tally.sentence_accuracy()

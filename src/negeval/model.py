@@ -74,9 +74,6 @@ class AnnotationElement:
     text: str | None = None
     subspan: tuple[int, int] | None = field(default=None, compare=False)
 
-    def covers_whole_token(self) -> bool:
-        return self.text is None
-
     def effective_text(self, token: Token) -> str:
         """The surface text this element denotes within ``token``."""
         return token.surface if self.text is None else self.text
@@ -127,10 +124,10 @@ class NegationInstance:
 
     def first_cue_index(self) -> int:
         """Token index of the linearly first cue element (-1 if cue is empty)."""
-        return min((e.token_index for e in self.cue), default=-1)
+        return min(map(_token_index, self.cue), default=-1)
 
     def last_cue_index(self) -> int:
-        return max((e.token_index for e in self.cue), default=-1)
+        return max(map(_token_index, self.cue), default=-1)
 
 
 @dataclass(frozen=True)
@@ -145,10 +142,7 @@ class Sentence:
         return (self.doc_id, self.sent_index)
 
     def surfaces(self) -> tuple[str, ...]:
-        return tuple(t.surface for t in self.tokens)
-
-    def token_of(self, element: AnnotationElement) -> Token:
-        return self.tokens[element.token_index]
+        return tuple(map(_surface, self.tokens))
 
 
 @dataclass(frozen=True)
@@ -207,13 +201,56 @@ def renumber(instances: Iterable[NegationInstance]) -> tuple[NegationInstance, .
 
 
 _token_index = operator.attrgetter("token_index")
+_surface = operator.attrgetter("surface")
 
 
 def _without(elements: frozenset[AnnotationElement], punct: set[int]) -> frozenset[AnnotationElement]:
     """``elements`` less those on a ``punct`` token; the same set if none is."""
     if punct.isdisjoint(map(_token_index, elements)):
         return elements
-    return frozenset(e for e in elements if e.token_index not in punct)
+    # a copy keeps the stored hashes, so only the removed elements are hashed
+    return elements.difference([e for e in elements if e.token_index in punct])
+
+
+def _punct_indices(tokens: tuple[Token, ...]) -> set[int]:
+    return {t.index for t in tokens if t.is_punct}
+
+
+def _kept_instances(sent: Sentence, punct: set[int]) -> tuple[NegationInstance, ...]:
+    """``sent``'s instances with every element on a ``punct`` token removed.
+
+    An instance whose cue is only punctuation is dropped with a warning, and
+    the kept instances are renumbered by position.  Returns
+    ``sent.instances`` itself when that changes nothing, and keeps unchanged
+    instances as the same objects.
+    """
+    if not punct or not sent.instances:
+        return sent.instances
+    kept: list[NegationInstance] = []
+    changed = False
+    for inst in sent.instances:
+        cue = _without(inst.cue, punct)
+        if not cue:
+            logger.warning(
+                "dropping instance %d of %s#%d: cue is entirely punctuation",
+                inst.instance_id,
+                sent.doc_id,
+                sent.sent_index,
+            )
+            changed = True
+            continue
+        scope = _without(inst.scope, punct)
+        event = _without(inst.event, punct)
+        if (
+            cue is not inst.cue
+            or scope is not inst.scope
+            or event is not inst.event
+            or inst.instance_id != len(kept)
+        ):
+            inst = NegationInstance(cue, scope, event, len(kept))
+            changed = True
+        kept.append(inst)
+    return tuple(kept) if changed else sent.instances
 
 
 def strip_punctuation(corpus: Corpus) -> Corpus:
@@ -228,37 +265,10 @@ def strip_punctuation(corpus: Corpus) -> Corpus:
     """
     out_sentences = []
     for sent in corpus.sentences:
-        punct = {t.index for t in sent.tokens if t.is_punct}
-        if not punct or not sent.instances:
-            out_sentences.append(sent)
-            continue
-        kept: list[NegationInstance] = []
-        changed = False
-        for inst in sent.instances:
-            cue = _without(inst.cue, punct)
-            if not cue:
-                logger.warning(
-                    "dropping instance %d of %s#%d: cue is entirely punctuation",
-                    inst.instance_id,
-                    sent.doc_id,
-                    sent.sent_index,
-                )
-                changed = True
-                continue
-            scope = _without(inst.scope, punct)
-            event = _without(inst.event, punct)
-            if (
-                cue is not inst.cue
-                or scope is not inst.scope
-                or event is not inst.event
-                or inst.instance_id != len(kept)
-            ):
-                inst = NegationInstance(cue, scope, event, len(kept))
-                changed = True
-            kept.append(inst)
-        out_sentences.append(
-            Sentence(sent.doc_id, sent.sent_index, sent.tokens, tuple(kept)) if changed else sent
-        )
+        kept = _kept_instances(sent, _punct_indices(sent.tokens))
+        if kept is not sent.instances:
+            sent = Sentence(sent.doc_id, sent.sent_index, sent.tokens, kept)
+        out_sentences.append(sent)
     return replace(corpus, sentences=tuple(out_sentences))
 
 

@@ -1,7 +1,8 @@
 """Assembling and serialising the full suite of evaluation scores.
 
 ``full_report`` strips punctuation, aligns gold and predicted instances
-under both cue-match modes, and computes every metric the package provides.
+under both cue-match modes, and computes every metric the package provides,
+all in one pass over the sentence pairs.
 Reports serialise to JSON (nested objects with raw ratios and counts), TSV
 (one row per metric) and an aligned text table; identical inputs always
 produce byte-identical output.
@@ -12,20 +13,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .alignment import CueMatchMode, align_corpus
-from .metrics import (
-    EXACT_SCORER,
-    PRF,
-    TOKEN_SCORER,
-    SentenceAccuracy,
+from .alignment import CueMatchMode, _check_tokens, _match, _sentence_pairs, _sort_key
+from .metrics import EXACT_SCORER, PRF, TOKEN_SCORER, SentenceAccuracy, _Tally, percent
+from .model import Corpus, _gc_paused, _kept_instances, _punct_indices
+
+# full_report no longer calls these, but they stay importable from here:
+# perfbench/tracing.py installs its spans on this module's names.
+from .alignment import align_corpus  # noqa: E402,F401
+from .metrics import (  # noqa: E402,F401
     correct_sentence_ratio,
     cue_scores,
     instance_scores,
-    percent,
     scope_match,
     scope_tokens,
 )
-from .model import Corpus, _gc_paused, strip_punctuation
+from .model import strip_punctuation  # noqa: E402,F401
 
 SCHEMA_VERSION = 1
 
@@ -96,8 +98,9 @@ class MetricReport:
             metadata=self.metadata,
         )
 
-    def to_json(self) -> str:
-        payload = {
+    def _payload(self) -> dict:
+        """The JSON document as plain dicts, lists and leaves."""
+        return {
             "schema_version": SCHEMA_VERSION,
             "metadata": self.metadata,
             "metrics": {key: self.metrics[key].as_dict() for key in self._keys()},
@@ -108,7 +111,9 @@ class MetricReport:
                 "percent": percent(self.sentence_accuracy.ratio),
             },
         }
-        return _json_text(payload) + "\n"
+
+    def to_json(self) -> str:
+        return _json_text(self._payload()) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "MetricReport":
@@ -195,6 +200,34 @@ class MetricReport:
         return self.to_text()
 
 
+def _count(gold: Corpus, pred: Corpus, keep_punct: bool, cns_all_sentences: bool) -> _Tally:
+    """Every count of a report, in one walk over the paired sentences.
+
+    Each pair is checked, stripped (unless ``keep_punct``), sorted once and
+    matched in both cue-match modes, as ``strip_punctuation`` and
+    ``align_corpus`` would do it, and its counts go straight to the tally.
+    """
+    tally = _Tally((TOKEN_SCORER, EXACT_SCORER))
+    for g_sent, p_sent in _sentence_pairs(gold, pred):
+        _check_tokens(g_sent, p_sent)
+        g_inst, p_inst = g_sent.instances, p_sent.instances
+        if not keep_punct and (g_inst or p_inst):
+            punct = _punct_indices(g_sent.tokens)
+            g_inst = _kept_instances(g_sent, punct)
+            if p_sent.tokens is not g_sent.tokens:
+                punct = _punct_indices(p_sent.tokens)
+            p_inst = _kept_instances(p_sent, punct)
+        tally.add_sentence(g_inst, p_inst, cns_all_sentences)
+        if g_inst or p_inst:
+            g_order = sorted(g_inst, key=_sort_key)
+            p_order = sorted(p_inst, key=_sort_key)
+            matched, unmatched_gold, unmatched_pred, partial_only = _match(g_order, p_order, CueMatchMode.EXACT)
+            tally.add(CueMatchMode.EXACT, matched, unmatched_gold, unmatched_pred, partial_only)
+            tally.add_scopes(matched, unmatched_gold, unmatched_pred)
+            tally.add(CueMatchMode.PARTIAL, *_match(g_order, p_order, CueMatchMode.PARTIAL))
+    return tally
+
+
 @_gc_paused()
 def full_report(
     gold: Corpus,
@@ -205,32 +238,28 @@ def full_report(
 ) -> MetricReport:
     """Compute every metric for a gold/predicted corpus pair.
 
-    Runs with cyclic GC paused, as CLI commands do: scoring allocates many
-    small objects but creates no reference cycles.  GC comes back on only
-    after the stripped corpora and alignments are freed, so its next pass
-    has nothing of them to scan.
+    Counts every metric in one pass over the sentence pairs, with the same
+    results as ``strip_punctuation``, ``align_corpus`` in both cue-match
+    modes, the metric functions and ``correct_sentence_ratio`` give.  Runs
+    with cyclic GC paused, as CLI commands do: scoring allocates many small
+    objects but creates no reference cycles.
     """
-    if not keep_punct:
-        gold = strip_punctuation(gold)
-        pred = strip_punctuation(pred)
-    exact = align_corpus(gold, pred, CueMatchMode.EXACT)
-    partial = align_corpus(gold, pred, CueMatchMode.PARTIAL)
+    tally = _count(gold, pred, keep_punct, cns_all_sentences)
     metrics = {
-        "cues_exact": cue_scores(exact, CueMatchMode.EXACT, "standard"),
-        "cues_exact_b": cue_scores(exact, CueMatchMode.EXACT, "b"),
-        "cues_partial": cue_scores(partial, CueMatchMode.PARTIAL, "standard"),
-        "cues_partial_b": cue_scores(partial, CueMatchMode.PARTIAL, "b"),
-        "scm": scope_match(exact, "standard"),
-        "scm_b": scope_match(exact, "b"),
-        "st": scope_tokens(exact),
-        "inst_tok": instance_scores(exact, TOKEN_SCORER),
-        "inst_ex": instance_scores(exact, EXACT_SCORER),
+        "cues_exact": tally.cue_prf(CueMatchMode.EXACT, "standard"),
+        "cues_exact_b": tally.cue_prf(CueMatchMode.EXACT, "b"),
+        "cues_partial": tally.cue_prf(CueMatchMode.PARTIAL, "standard"),
+        "cues_partial_b": tally.cue_prf(CueMatchMode.PARTIAL, "b"),
+        "scm": tally.scope_match_prf("standard"),
+        "scm_b": tally.scope_match_prf("b"),
+        "st": tally.scope_tokens_prf(),
+        "inst_tok": tally.instance_prf(TOKEN_SCORER),
+        "inst_ex": tally.instance_prf(EXACT_SCORER),
     }
-    accuracy = correct_sentence_ratio(gold, pred, count_all_sentences=cns_all_sentences)
     metadata = {
         "gold": gold.name,
         "pred": pred.name,
         "punctuation": "kept" if keep_punct else "stripped",
         "cns_denominator": "all" if cns_all_sentences else "gold-negation",
     }
-    return MetricReport(metrics=metrics, sentence_accuracy=accuracy, metadata=metadata)
+    return MetricReport(metrics=metrics, sentence_accuracy=tally.sentence_accuracy(), metadata=metadata)

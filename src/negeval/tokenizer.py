@@ -37,18 +37,14 @@ class TokenizerConfig:
     abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
 
     @classmethod
-    def from_text(cls, text: str) -> "TokenizerConfig":
-        """Parse the plain-text rule format: one ``key value`` rule per line.
+    def from_file(cls, path) -> "TokenizerConfig":
+        """Read the plain-text rule format: one ``key value`` rule per line.
 
         Keys: ``url`` (regex, last one wins), ``internal`` (characters kept
         word-internal), ``abbrev`` (one abbreviation per line; repeatable).
         ``#`` starts a comment.  Raises :class:`ParseError` for an unknown
         key or a ``url`` pattern that does not compile.
         """
-        return _parse_rules(text, "<string>")
-
-    @classmethod
-    def from_file(cls, path) -> "TokenizerConfig":
         with open(path, "rb") as handle:
             return _parse_rules(_decode(handle.read(), str(path)), str(path))
 

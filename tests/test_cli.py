@@ -130,6 +130,47 @@ def test_dropped_instance_warnings_are_prefixed_once_per_call(capsys, tmp_path):
         assert err == "negeval: warning: dropping instance 1 of d#0: cue is entirely punctuation\n"
 
 
+def _write_sentences(path: Path, sentences) -> None:
+    """Write CoNLL sentences of doc ``d`` given as ``(words, cues)``: words
+    are ``(surface, POS)`` pairs, and each instance is its set of cue tokens."""
+    blocks = []
+    for sent_no, (words, cues) in enumerate(sentences):
+        rows = []
+        for i, (w, pos) in enumerate(words):
+            cells = [c for cue in cues for c in (w if i in cue else "_", "_", "_")]
+            rows.append("\t".join(["d", str(sent_no), str(i), w, w, pos, "_", *(cells or ["***"])]))
+        blocks.append("\n".join(rows))
+    path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+
+
+def test_dropped_instance_warnings_come_in_pair_order(capsys, tmp_path):
+    words = [("no", "DT"), (",", ","), ("way", "NN"), (".", ".")]
+    gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+    # d#0: gold drops instance 1, the prediction instance 0; d#1: gold 0, prediction 1
+    _write_sentences(gold, [(words, [{0}, {1}]), (words, [{3}, {0}])])
+    _write_sentences(pred, [(words, [{3}, {0}]), (words, [{0}, {1}])])
+    code, _, err = run(capsys, "evaluate", "--gold", str(gold), "--pred", str(pred))
+    assert code == EXIT_OK
+    assert err.splitlines() == [
+        f"negeval: warning: dropping instance {i} of d#{s}: cue is entirely punctuation"
+        for s, i in ((0, 1), (0, 0), (1, 0), (1, 1))
+    ]
+    # on a token mismatch, the warnings of the pairs before it come first
+    _write_sentences(pred, [(words, [{3}, {0}]), ([*words[:2], ("road", "NN"), words[3]], [{0}, {1}])])
+    code, _, err = run(capsys, "evaluate", "--gold", str(gold), "--pred", str(pred))
+    assert code == EXIT_ALIGNMENT
+    assert err.splitlines() == [
+        "negeval: warning: dropping instance 1 of d#0: cue is entirely punctuation",
+        "negeval: warning: dropping instance 0 of d#0: cue is entirely punctuation",
+        "negeval: alignment-error: token sequences differ for sentence ('d', 1): token 2: 'way' vs 'road'",
+    ]
+    # a key error comes before any pair is stripped
+    _write_sentences(pred, [(words, [{3}, {0}])])
+    code, _, err = run(capsys, "evaluate", "--gold", str(gold), "--pred", str(pred))
+    assert code == EXIT_ALIGNMENT
+    assert err == "negeval: alignment-error: sentence sets differ; missing from predictions: [('d', 1)]\n"
+
+
 def test_commands_pause_gc_and_restore_the_callers_state(capsys, monkeypatch, tmp_path):
     seen = []
 
@@ -297,6 +338,15 @@ def test_instance_without_cue_is_a_parse_error(capsys, tmp_path):
         assert (code, out) == (EXIT_PARSE, "")
         (line,) = err.splitlines()
         assert line.startswith(f"negeval: parse-error: {bad}:1: ")
+
+
+def test_empty_annotation_cell_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "empty-cell.conll"
+    bad.write_text("d\t0\t0\tnot\tnot\tRB\t_\tnot\t\t_\n", encoding="utf-8")
+    for argv in (("evaluate", "--gold", str(bad), "--pred", str(bad)), ("stats", str(bad))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"negeval: parse-error: {bad}:1: empty annotation cell\n"
 
 
 def test_evaluate_reads_predictions_with_the_gold_tokens(capsys, monkeypatch):

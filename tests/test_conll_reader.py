@@ -166,6 +166,25 @@ def test_an_earlier_instance_reports_first():
     ) == "bad.conll:2: annotation cell 'dog' is not a substring of token 'cat'"
 
 
+def test_an_empty_annotation_cell_is_an_error():
+    assert error_of(row("d", "0", "0", "not", "not", "RB", "_", "not", "", "_")) == (
+        "bad.conll:1: empty annotation cell"
+    )
+    # the first bad cell still wins, row by row and then cue, scope, event
+    assert error_of(
+        plain(0, "no", "no", "_", "_"), plain(1, "cat", "_", "", "dog")
+    ) == "bad.conll:2: empty annotation cell"
+    assert error_of(
+        plain(0, "no", "no", "_", "_"), plain(1, "cat", "_", "dog", "")
+    ) == "bad.conll:2: annotation cell 'dog' is not a substring of token 'cat'"
+    assert error_of(
+        plain(0, "no", "no", "_", "_"), plain(1, "cat", "dog", "_", "_"), plain(2, "sat", "", "_", "_")
+    ) == "bad.conll:2: annotation cell 'dog' is not a substring of token 'cat'"
+    assert error_of(
+        plain(0, "no", "no", "_", "_", "_", "ewe", "_"), plain(1, "cat", "_", "", "_", "no", "_", "_")
+    ) == "bad.conll:2: empty annotation cell"
+
+
 def test_instance_without_a_cue_cell_is_an_error():
     text = "\n".join(
         [

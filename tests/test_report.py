@@ -3,14 +3,32 @@ from __future__ import annotations
 import gc
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 import negeval.report
-from negeval import AlignmentError, Corpus, full_report
+from negeval import (
+    AlignmentError,
+    Corpus,
+    CueMatchMode,
+    EXACT_SCORER,
+    TOKEN_SCORER,
+    Token,
+    align,
+    align_corpus,
+    correct_sentence_ratio,
+    cue_scores,
+    full_report,
+    instance_scores,
+    scope_match,
+    scope_tokens,
+    strip_punctuation,
+)
 from negeval.metrics import percent
 from negeval.report import METRIC_ORDER, MetricReport
 from negeval.testing import perturb_predictions, random_corpus
+from test_reference_scorer import corpus_pair
 
 
 def test_report_contains_all_metrics(gold_corpus, system_a):
@@ -113,12 +131,11 @@ def test_full_report_pauses_gc_and_restores_the_callers_state(
 
         return wrapper
 
-    for name in ("strip_punctuation", "correct_sentence_ratio"):
-        monkeypatch.setattr(negeval.report, name, spy(getattr(negeval.report, name)))
+    monkeypatch.setattr(negeval.report, "_count", spy(negeval.report._count))
     (gc.enable if enabled else gc.disable)()
     full_report(gold_corpus, system_a)
     assert gc.isenabled() is enabled
-    assert seen == [False, False, False]
+    assert seen == [False]
     # a different sentence set makes the pairing raise inside full_report
     with pytest.raises(AlignmentError):
         full_report(gold_corpus, Corpus(system_a.sentences[1:]))
@@ -162,3 +179,76 @@ def test_to_json_leaves_no_garbage_cycles(gold_corpus, system_a, restore_gc):
     for _ in range(10):
         report.to_json()
     assert gc.collect() == 0
+
+
+# ---------------------------------------------------------------------------
+# full_report against the public functions it stands for
+
+
+def _report_from_public_functions(gold, pred, *, keep_punct, cns_all_sentences) -> MetricReport:
+    if not keep_punct:
+        gold, pred = strip_punctuation(gold), strip_punctuation(pred)
+    exact = align_corpus(gold, pred, CueMatchMode.EXACT)
+    partial = align_corpus(gold, pred, CueMatchMode.PARTIAL)
+    metrics = {
+        "cues_exact": cue_scores(exact, CueMatchMode.EXACT, "standard"),
+        "cues_exact_b": cue_scores(exact, CueMatchMode.EXACT, "b"),
+        "cues_partial": cue_scores(partial, CueMatchMode.PARTIAL, "standard"),
+        "cues_partial_b": cue_scores(partial, CueMatchMode.PARTIAL, "b"),
+        "scm": scope_match(exact, "standard"),
+        "scm_b": scope_match(exact, "b"),
+        "st": scope_tokens(exact),
+        "inst_tok": instance_scores(exact, TOKEN_SCORER),
+        "inst_ex": instance_scores(exact, EXACT_SCORER),
+    }
+    metadata = {
+        "gold": gold.name,
+        "pred": pred.name,
+        "punctuation": "kept" if keep_punct else "stripped",
+        "cns_denominator": "all" if cns_all_sentences else "gold-negation",
+    }
+    accuracy = correct_sentence_ratio(gold, pred, count_all_sentences=cns_all_sentences)
+    return MetricReport(metrics=metrics, sentence_accuracy=accuracy, metadata=metadata)
+
+
+def _own_tokens(rng: random.Random, corpus: Corpus, flip_punct: bool) -> Corpus:
+    """``corpus`` with new token tuples of equal surfaces; with ``flip_punct``
+    some tokens change their punctuation flag."""
+    sentences = []
+    for sent in corpus.sentences:
+        tokens = tuple(
+            Token(t.index, t.surface, t.lemma, t.pos, t.is_punct != (flip_punct and rng.random() < 0.2))
+            for t in sent.tokens
+        )
+        sentences.append(replace(sent, tokens=tokens))
+    return replace(corpus, sentences=tuple(sentences))
+
+
+@pytest.mark.parametrize("keep_punct", [False, True])
+@pytest.mark.parametrize("cns_all_sentences", [False, True])
+def test_full_report_equals_the_public_functions(keep_punct, cns_all_sentences):
+    for seed in range(300):
+        gold, pred = corpus_pair(seed)
+        if seed % 3:  # predictions with their own tokens, not the gold's tuple
+            pred = _own_tokens(random.Random(seed), pred, flip_punct=seed % 3 == 2)
+        options = dict(keep_punct=keep_punct, cns_all_sentences=cns_all_sentences)
+        want = _report_from_public_functions(gold, pred, **options).to_json()
+        assert full_report(gold, pred, **options).to_json() == want, seed
+
+
+def test_full_report_raises_the_alignment_error_of_align(gold_corpus):
+    last = gold_corpus.sentences[-1]
+    n = len(last.tokens)
+    shorter = replace(last, tokens=last.tokens[:-1], instances=())
+    renamed = replace(last, tokens=(replace(last.tokens[0], surface="zzz"),) + last.tokens[1:])
+    for changed, detail in (
+        (shorter, f"{n} gold vs {n - 1} predicted tokens"),
+        (renamed, f"token 0: {last.tokens[0].surface!r} vs 'zzz'"),
+    ):
+        with pytest.raises(AlignmentError) as want:
+            align(last, changed)
+        pred = replace(gold_corpus, sentences=gold_corpus.sentences[:-1] + (changed,))
+        with pytest.raises(AlignmentError) as got:
+            full_report(gold_corpus, pred)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"token sequences differ for sentence {last.key}: {detail}"
