@@ -8,120 +8,81 @@ baseline, dependency-graph encodings of the annotations, and dataset
 utilities (splits, statistics, re-annotation patches).
 """
 
-from .alignment import CueMatchMode, InstanceAlignment, align, align_corpus
-from .baseline import punct_baseline
-from .bioscope import load_bioscope, parse_bioscope
-from .conll import dump_sem_conll, load_sem_conll, parse_sem_conll, write_sem_conll
-from .datatools import (
-    CorpusStats,
-    ReannotationPatch,
-    SplitSpec,
-    apply_patches,
-    corpus_stats,
-    detect_coordination_cues,
-    format_patch_file,
-    parse_patch_file,
-    split_corpus,
-)
-from .depgraph import EncodingKind, NegDepGraph, decode, encode
-from .errors import (
-    AlignmentError,
-    GraphError,
-    NegevalError,
-    ParseError,
-    PatchError,
-    SplitError,
-    UsageError,
-)
-from .metrics import (
-    EXACT_SCORER,
-    PRF,
-    TOKEN_SCORER,
-    ScopeScorer,
-    correct_sentence_ratio,
-    cue_scores,
-    exact_match_scores,
-    instance_scores,
-    percent,
-    scope_match,
-    scope_tokens,
-    token_overlap_scores,
-)
-from .model import (
-    AnnotationElement,
-    Corpus,
-    Diagnostic,
-    NegationInstance,
-    Sentence,
-    Token,
-    element_for,
-    strip_punctuation,
-    validate,
-)
-from .report import MetricReport, full_report
-from .sfu import load_sfu, parse_sfu
-from .tokenizer import CharSpan, TokenizerConfig, tokenize
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentError",
-    "AnnotationElement",
-    "CharSpan",
-    "Corpus",
-    "CorpusStats",
-    "CueMatchMode",
-    "Diagnostic",
-    "EncodingKind",
-    "EXACT_SCORER",
-    "GraphError",
-    "InstanceAlignment",
-    "MetricReport",
-    "NegDepGraph",
-    "NegationInstance",
-    "NegevalError",
-    "PRF",
-    "ParseError",
-    "PatchError",
-    "ReannotationPatch",
-    "ScopeScorer",
-    "Sentence",
-    "SplitError",
-    "SplitSpec",
-    "Token",
-    "TOKEN_SCORER",
-    "TokenizerConfig",
-    "UsageError",
-    "align",
-    "align_corpus",
-    "apply_patches",
-    "corpus_stats",
-    "correct_sentence_ratio",
-    "cue_scores",
-    "decode",
-    "detect_coordination_cues",
-    "dump_sem_conll",
-    "element_for",
-    "encode",
-    "exact_match_scores",
-    "format_patch_file",
-    "full_report",
-    "instance_scores",
-    "load_bioscope",
-    "load_sem_conll",
-    "load_sfu",
-    "parse_bioscope",
-    "parse_patch_file",
-    "parse_sem_conll",
-    "parse_sfu",
-    "percent",
-    "punct_baseline",
-    "scope_match",
-    "scope_tokens",
-    "split_corpus",
-    "strip_punctuation",
-    "token_overlap_scores",
-    "tokenize",
-    "validate",
-    "write_sem_conll",
-]
+#: Each public name and the module that defines it.  Names are imported on
+#: first access (PEP 562), so importing the package, or one module such as
+#: ``negeval.cli``, loads only what is used.
+_EXPORTS = {
+    "alignment": ("CueMatchMode", "InstanceAlignment", "align", "align_corpus"),
+    "baseline": ("punct_baseline",),
+    "bioscope": ("load_bioscope", "parse_bioscope"),
+    "conll": ("dump_sem_conll", "load_sem_conll", "parse_sem_conll", "write_sem_conll"),
+    "datatools": (
+        "CorpusStats",
+        "ReannotationPatch",
+        "SplitSpec",
+        "apply_patches",
+        "corpus_stats",
+        "detect_coordination_cues",
+        "format_patch_file",
+        "parse_patch_file",
+        "split_corpus",
+    ),
+    "depgraph": ("EncodingKind", "NegDepGraph", "decode", "encode"),
+    "errors": (
+        "AlignmentError",
+        "GraphError",
+        "NegevalError",
+        "ParseError",
+        "PatchError",
+        "SplitError",
+        "UsageError",
+    ),
+    "metrics": (
+        "EXACT_SCORER",
+        "PRF",
+        "TOKEN_SCORER",
+        "ScopeScorer",
+        "correct_sentence_ratio",
+        "cue_scores",
+        "exact_match_scores",
+        "instance_scores",
+        "percent",
+        "scope_match",
+        "scope_tokens",
+        "token_overlap_scores",
+    ),
+    "model": (
+        "AnnotationElement",
+        "Corpus",
+        "Diagnostic",
+        "NegationInstance",
+        "Sentence",
+        "Token",
+        "element_for",
+        "strip_punctuation",
+        "validate",
+    ),
+    "report": ("MetricReport", "full_report"),
+    "sfu": ("load_sfu", "parse_sfu"),
+    "tokenizer": ("CharSpan", "TokenizerConfig", "tokenize"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF, key=str.lower)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MODULE_OF.keys())

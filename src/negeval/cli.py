@@ -17,19 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .baseline import punct_baseline
-from .bioscope import load_bioscope
 from .conll import _decode, load_sem_conll, write_sem_conll
-from .datatools import (
-    SplitSpec,
-    apply_patches,
-    corpus_stats,
-    detect_coordination_cues,
-    format_patch_file,
-    parse_assignment,
-    parse_patch_file,
-    split_corpus,
-)
 from .depgraph import EncodingKind, decode_corpus, encode_corpus
 from .errors import (
     AlignmentError,
@@ -43,8 +31,9 @@ from .errors import (
 from .metrics import percent
 from .model import Corpus, _gc_paused, strip_punctuation, validate
 from .report import METRIC_ORDER, SCHEMA_VERSION, _json_text, full_report
-from .sfu import load_sfu
-from .tokenizer import TokenizerConfig
+
+# The XML readers, the tokenizer, datatools and the baseline are imported by
+# the commands that use them, so a command loads only the modules it needs.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,11 +72,16 @@ def _load_corpus(path_text: str, args, tokens_from: Corpus | None = None) -> Cor
     if fmt == "conll":
         corpus = load_sem_conll(path, tokens_from=tokens_from)
     elif fmt == "bioscope":
+        from .bioscope import load_bioscope
+        from .tokenizer import TokenizerConfig
+
         tokenizer = (
             TokenizerConfig.from_file(args.tokenizer) if getattr(args, "tokenizer", None) else None
         )
         corpus = load_bioscope(path, tokenizer)
     elif fmt == "sfu":
+        from .sfu import load_sfu
+
         corpus = load_sfu(path)
     else:
         raise UsageError(f"unknown input format {fmt!r}")
@@ -155,6 +149,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from .baseline import punct_baseline
+
     gold = _load_corpus(args.gold, args)
     _emit(args, write_sem_conll(punct_baseline(gold)))
     return EXIT_OK
@@ -184,6 +180,8 @@ def cmd_dep_decode(args) -> int:
 
 
 def cmd_split(args) -> int:
+    from .datatools import SplitSpec, parse_assignment, split_corpus
+
     corpus = _load_corpus(args.input, args)
     assignment = None
     if args.assignment:
@@ -205,12 +203,16 @@ def cmd_split(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .datatools import corpus_stats
+
     corpus = _load_corpus(args.input, args)
     _emit(args, corpus_stats(corpus).to_tsv())
     return EXIT_OK
 
 
 def cmd_patch(args) -> int:
+    from .datatools import apply_patches, parse_patch_file
+
     corpus = _load_corpus(args.input, args)
     patch_text = _decode(Path(args.patches).read_bytes(), args.patches)
     patches = parse_patch_file(patch_text, corpus, source=args.patches)
@@ -219,6 +221,8 @@ def cmd_patch(args) -> int:
 
 
 def cmd_detect_coord(args) -> int:
+    from .datatools import detect_coordination_cues, format_patch_file
+
     corpus = _load_corpus(args.input, args)
     lexicon = frozenset(w.strip().lower() for w in args.lexicon.split(",") if w.strip())
     patches = detect_coordination_cues(corpus, lexicon)

@@ -15,7 +15,7 @@ import itertools
 import operator
 from typing import IO, Iterator
 
-from .errors import ParseError
+from .errors import ParseError, UsageError
 from .model import (
     DEFAULT_PUNCT_POS,
     AnnotationElement,
@@ -158,8 +158,12 @@ def _parse_sentence(
         )
     ):
         _check_rows(rows, width, has_negation, source, first_line)
-    lemmas, tags = _optional(cells[4::width]), _optional(cells[5::width])
-    puncts = list(map(detect_punct, surfaces, tags, itertools.repeat(punct_pos, n)))
+    lemmas, tag_column = _optional(cells[4::width]), cells[5::width]
+    tags = _optional(tag_column)
+    if tags is tag_column:  # every token has a tag, so the tag decides
+        puncts = list(map(punct_pos.__contains__, tags))
+    else:
+        puncts = list(map(detect_punct, surfaces, tags, itertools.repeat(punct_pos, n)))
     tokens = known.get((doc_id, sent_no))
     if tokens is None or list(map(_token_fields, tokens)) != list(
         zip(range(n), surfaces, lemmas, tags, puncts)
@@ -259,51 +263,64 @@ def write_sem_conll(corpus: Corpus) -> str:
 
     Sub-span elements are written as their substring text, whole-token
     elements as the full surface; sentences without instances get the
-    single ``***`` cell.
+    single ``***`` cell.  Raises :class:`UsageError` for a cell holding a
+    tab, line feed or carriage return, which the layout cannot represent.
     """
     blocks = []
     for sent in corpus.sentences:
-        cue_cells, scope_cells, event_cells = _annotation_cells(sent)
-        lines = []
-        for token in sent.tokens:
-            cols = [
-                sent.doc_id,
-                str(sent.sent_index),
-                str(token.index),
-                token.surface,
-                token.lemma if token.lemma is not None else _EMPTY,
-                token.pos if token.pos is not None else _EMPTY,
-                _EMPTY,
-            ]
-            if not sent.instances:
-                cols.append(_NO_NEG)
-            else:
-                for k in range(len(sent.instances)):
-                    cols.append(cue_cells[k].get(token.index, _EMPTY))
-                    cols.append(scope_cells[k].get(token.index, _EMPTY))
-                    cols.append(event_cells[k].get(token.index, _EMPTY))
-            lines.append("\t".join(cols))
-        blocks.append("\n".join(lines))
+        head = f"{sent.doc_id}\t{sent.sent_index}"
+        tail = "" if sent.instances else f"\t{_NO_NEG}"
+        rows = [
+            f"{head}\t{t.index}\t{t.surface}\t{_EMPTY if t.lemma is None else t.lemma}"
+            f"\t{_EMPTY if t.pos is None else t.pos}\t{_EMPTY}{tail}"
+            for t in sent.tokens
+        ]
+        if sent.instances:
+            rows = list(map("\t".join, zip(rows, *_annotation_columns(sent))))
+        block = "\n".join(rows)
+        if rows:
+            annotation_cells = 3 * len(sent.instances) or 1  # the triples, or "***"
+            _check_block(sent, block, rows, _FIXED_COLUMNS + annotation_cells - 1)
+        blocks.append(block)
     if not blocks:
         return ""
     return "\n\n".join(blocks) + "\n"
 
 
-def _annotation_cells(sent: Sentence):
-    cue_cells: list[dict[int, str]] = []
-    scope_cells: list[dict[int, str]] = []
-    event_cells: list[dict[int, str]] = []
+def _annotation_columns(sent: Sentence) -> list[list[str]]:
+    """The cue, scope and event cells of each instance, one column each."""
+    columns = []
     for inst in sent.instances:
-        for elements, cells in (
-            (inst.cue, cue_cells),
-            (inst.scope, scope_cells),
-            (inst.event, event_cells),
-        ):
-            mapping: dict[int, str] = {}
-            for element in sorted(elements, key=lambda e: e.token_index):
-                mapping[element.token_index] = element.effective_text(sent.tokens[element.token_index])
-            cells.append(mapping)
-    return cue_cells, scope_cells, event_cells
+        for elements in (inst.cue, inst.scope, inst.event):
+            cells = {e.token_index: e.effective_text(sent.tokens[e.token_index]) for e in elements}
+            columns.append([cells.get(t.index, _EMPTY) for t in sent.tokens])
+    return columns
+
+
+def _check_block(sent: Sentence, block: str, rows: list[str], tabs: int, header_lines: int = 0) -> None:
+    """Raise a UsageError when a cell of ``sent`` holds a tab, line feed or
+    carriage return, which would split it into more columns or lines.
+
+    ``block`` is the sentence as written: ``header_lines`` lines without a
+    tab, then ``rows``, one per token, each with ``tabs`` separators.
+    Comparing the block's counts with these costs nothing per token; only a
+    block that differs is walked row by row to name the token.
+    """
+    if (
+        block.count("\t") == tabs * len(rows)
+        and block.count("\n") == header_lines + len(rows) - 1
+        and "\r" not in block
+    ):
+        return
+    for token, row in zip(sent.tokens, rows):
+        if row.count("\t") != tabs or "\n" in row or "\r" in row:
+            raise UsageError(
+                f"cannot write sentence {sent.key}: a cell of token {token.index} "
+                "holds a tab, line feed or carriage return"
+            )
+    raise UsageError(
+        f"cannot write sentence {sent.key}: its document id holds a tab, line feed or carriage return"
+    )
 
 
 def load_sem_conll(

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
 
-from .conll import _blocks
+from .conll import _blocks, _check_block
 from .errors import GraphError, ParseError
 from .model import (
     Corpus,
@@ -228,16 +229,20 @@ def decode(graph: NegDepGraph, kind: EncodingKind) -> list[NegationInstance]:
 
 
 def format_graph(sentence: Sentence, graph: NegDepGraph) -> str:
+    """Serialise one sentence's graph.  Raises :class:`UsageError` when a
+    surface or the document id holds a tab, line feed or carriage return."""
     by_dep: dict[int, list[tuple[int, str]]] = {}
     for edge in graph.edges:
         head = 0 if edge.head is None else edge.head + 1
         by_dep.setdefault(edge.dependent, []).append((head, edge.label))
-    lines = [f"#doc {sentence.doc_id}", f"#sent {sentence.sent_index}"]
-    for token in sentence.tokens:
-        pairs = sorted(by_dep.get(token.index, []))
-        cell = "|".join(f"{head}:{label}" for head, label in pairs) if pairs else "_"
-        lines.append(f"{token.index + 1}\t{token.surface}\t{cell}")
-    return "\n".join(lines)
+    cells = {
+        dependent: "|".join(f"{head}:{label}" for head, label in sorted(pairs))
+        for dependent, pairs in by_dep.items()
+    }
+    rows = [f"{t.index + 1}\t{t.surface}\t{cells.get(t.index, '_')}" for t in sentence.tokens]
+    block = "\n".join((f"#doc {sentence.doc_id}", f"#sent {sentence.sent_index}", *rows))
+    _check_block(sentence, block, rows, 2, header_lines=2)
+    return block
 
 
 def encode_corpus(corpus: Corpus, kind: EncodingKind, diagnostics: list[Diagnostic] | None = None) -> str:
@@ -300,8 +305,9 @@ def _parse_graph_block(lines: list[str], first_line: int, source: str):
 def decode_corpus(text: str, kind: EncodingKind, source: str = "<string>", name: str = "") -> Corpus:
     sentences = []
     for doc_id, sent_index, surfaces, graph in parse_graph_corpus(text, source):
+        n = len(surfaces)
         tokens = tuple(
-            Token(index=i, surface=s, is_punct=is_punct_surface(s)) for i, s in enumerate(surfaces)
+            map(Token, range(n), surfaces, repeat(None, n), repeat(None, n), map(is_punct_surface, surfaces))
         )
         instances = tuple(decode(graph, kind))
         sentences.append(

@@ -32,6 +32,9 @@ DEFAULT_PUNCT_POS = frozenset(
 
 def is_punct_surface(surface: str) -> bool:
     """True when every character of ``surface`` is Unicode punctuation."""
+    # No letter or digit has a P* category, so a word skips the per-character walk.
+    if surface.isalnum():
+        return False
     return bool(surface) and all(unicodedata.category(ch).startswith("P") for ch in surface)
 
 
@@ -47,7 +50,7 @@ def detect_punct(surface: str, pos: str | None, punct_pos: frozenset[str] = DEFA
     return is_punct_surface(surface)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Token:
     """One token of a sentence.  ``index`` is the 0-based sentence position."""
 
@@ -56,6 +59,27 @@ class Token:
     lemma: str | None = None
     pos: str | None = None
     is_punct: bool = False
+
+    def __init__(
+        self,
+        index: int,
+        surface: str,
+        lemma: str | None = None,
+        pos: str | None = None,
+        is_punct: bool = False,
+    ) -> None:
+        # The generated frozen __init__ calls object.__setattr__ per field;
+        # the slot descriptors store the same values in half the time.
+        _set_index(self, index)
+        _set_surface(self, surface)
+        _set_lemma(self, lemma)
+        _set_pos(self, pos)
+        _set_is_punct(self, is_punct)
+
+
+_set_index, _set_surface, _set_lemma, _set_pos, _set_is_punct = (
+    Token.__dict__[name].__set__ for name in ("index", "surface", "lemma", "pos", "is_punct")
+)
 
 
 @dataclass(frozen=True, slots=True)

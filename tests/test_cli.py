@@ -349,6 +349,28 @@ def test_empty_annotation_cell_is_a_parse_error(capsys, tmp_path):
         assert err == f"negeval: parse-error: {bad}:1: empty annotation cell\n"
 
 
+@pytest.mark.parametrize("control", ["\t", "\n"])
+def test_writers_refuse_a_token_with_a_tab_or_line_feed(capsys, tmp_path, control):
+    xml = tmp_path / "t.xml"
+    xml.write_text(
+        "<DOCUMENT><SENTENCE><W>I</W><cue type=\"negation\" ID=\"1\"><W>never</W></cue>"
+        f"<xcope ID=\"1\"><W>New{control}York</W></xcope></SENTENCE></DOCUMENT>\n",
+        encoding="utf-8",
+        newline="",
+    )
+    out_path = tmp_path / "t.out"
+    for command in ("convert", "dep-encode"):
+        code, out, err = run(capsys, command, str(xml), "--format", "sfu", "-o", str(out_path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "negeval: usage-error: cannot write sentence ('t', 0): a cell of token 2 holds a tab, "
+            "line feed or carriage return\n"
+        )
+        assert not out_path.exists()
+    code, out, _ = run(capsys, "stats", str(xml), "--format", "sfu")
+    assert code == EXIT_OK and out.startswith("sentences\t1\n")
+
+
 def test_evaluate_reads_predictions_with_the_gold_tokens(capsys, monkeypatch):
     import negeval.conll
 

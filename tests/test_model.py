@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import random
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given
@@ -19,6 +22,7 @@ from negeval import (
 )
 from conftest import fixture_path
 from negeval.conll import parse_sem_conll
+from negeval.model import is_punct_surface
 from negeval.testing import random_corpus
 
 
@@ -214,3 +218,103 @@ class TestValidate:
         sent = make_sentence(["a"])
         diags = validate(Corpus((sent, sent)))
         assert any(d.code == "duplicate-sentence" for d in diags)
+
+
+# ---------------------------------------------------------------------------
+# Token against the dataclass it replaces
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ReferenceToken:
+    """``Token`` as the generated dataclass would build it."""
+
+    index: int
+    surface: str
+    lemma: str | None = None
+    pos: str | None = None
+    is_punct: bool = False
+
+
+_TOKEN_ARGUMENTS = [
+    ((0, "no"), {}),
+    ((3, "Not", "not", "RB", False), {}),
+    ((1, ","), {"is_punct": True}),
+    ((), {"index": 2, "surface": "un", "pos": "JJ"}),
+    ((5,), {"surface": "x", "lemma": None, "is_punct": True, "pos": None}),
+]
+
+
+class TestTokenContract:
+    @pytest.mark.parametrize("args, kwargs", _TOKEN_ARGUMENTS)
+    def test_construction_repr_equality_and_hash(self, args, kwargs):
+        token, reference = Token(*args, **kwargs), ReferenceToken(*args, **kwargs)
+        assert dataclasses.astuple(token) == dataclasses.astuple(reference)
+        assert repr(token) == repr(reference).replace("ReferenceToken", "Token")
+        assert hash(token) == hash(reference)
+        assert token == Token(*args, **kwargs) and token != ReferenceToken(*args, **kwargs)
+        assert token != dataclasses.replace(token, surface=token.surface + "!")
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((), {}), ((0,), {}), ((0, "a", None, None, False, "extra"), {}), ((0, "a"), {"tag": "X"}),
+         ((0, "a"), {"index": 1})],
+    )
+    def test_bad_arguments_are_type_errors(self, args, kwargs):
+        with pytest.raises(TypeError):
+            ReferenceToken(*args, **kwargs)
+        with pytest.raises(TypeError):
+            Token(*args, **kwargs)
+
+    def test_dataclass_metadata(self):
+        assert Token.__match_args__ == ReferenceToken.__match_args__
+        assert [(f.name, f.default, f.init, f.compare) for f in dataclasses.fields(Token)] == [
+            (f.name, f.default, f.init, f.compare) for f in dataclasses.fields(ReferenceToken)
+        ]
+        assert Token.__slots__ == ReferenceToken.__slots__
+        match Token(4, "nor", is_punct=False):
+            case Token(index, surface, lemma, pos, is_punct):
+                assert (index, surface, lemma, pos, is_punct) == (4, "nor", None, None, False)
+
+    def test_replace_and_pickle(self):
+        token = Token(1, "never", "never", "RB")
+        assert dataclasses.replace(token, pos=None, is_punct=True) == Token(1, "never", "never", None, True)
+        copy = pickle.loads(pickle.dumps(token))
+        assert copy == token and copy is not token
+
+    @pytest.mark.parametrize("name", ["index", "surface", "lemma", "pos", "is_punct"])
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        token = Token(0, "no")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(token, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(token, name)
+        assert token == Token(0, "no")
+
+
+# ---------------------------------------------------------------------------
+# Punctuation by surface
+
+
+def _category_only(surface: str) -> bool:
+    return bool(surface) and all(unicodedata.category(ch).startswith("P") for ch in surface)
+
+
+def test_punct_surface_matches_the_categories_on_every_code_point():
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    found = list(map(is_punct_surface, chars))
+    expected = [unicodedata.category(ch)[0] == "P" for ch in chars]
+    assert [hex(ord(ch)) for ch, a, b in zip(chars, found, expected) if a != b] == []
+
+
+def test_punct_surface_matches_the_categories_on_random_strings():
+    # letters and digits of several scripts, number forms, marks, symbols,
+    # spaces and punctuation
+    pool = "aZß漢Σ٣7Ⅻ½²́_-.,!?¿«»—…'\"()[]$%+<>© \t  "
+    rng = random.Random(0)
+    kinds = set()
+    for _ in range(3000):
+        surface = "".join(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+        expected = _category_only(surface)
+        assert is_punct_surface(surface) == expected, repr(surface)
+        kinds.add((expected, surface.isalnum()))
+    assert kinds == {(True, False), (False, False), (False, True)}
