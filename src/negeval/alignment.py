@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import AlignmentError
-from .model import Corpus, NegationInstance, Sentence
+from .model import Corpus, NegationInstance, Sentence, _records
 
 
 class CueMatchMode(enum.Enum):
@@ -52,10 +52,6 @@ class InstanceAlignment:
         return len(self.matched) + len(self.unmatched_pred)
 
 
-def _sort_key(inst: NegationInstance) -> tuple[int, int]:
-    return (inst.first_cue_index(), inst.instance_id)
-
-
 def _check_tokens(gold: Sentence, pred: Sentence) -> None:
     """Raise :class:`AlignmentError` unless the paired sentences' token
     surfaces are equal; a shared token tuple passes at once."""
@@ -70,27 +66,27 @@ def _check_tokens(gold: Sentence, pred: Sentence) -> None:
 
 
 def _match(
-    gold_order: list[NegationInstance], pred_order: list[NegationInstance], mode: CueMatchMode
+    gold_order: list[tuple], pred_order: list[tuple], mode: CueMatchMode
 ) -> tuple[list, list, list, list]:
-    """The greedy matching of instances already sorted by ``_sort_key``.
+    """The greedy matching of sorted ``model._records``.
 
     Returns ``(matched, unmatched_gold, unmatched_pred, partial_only_pred)``
-    as lists, the last two in ``pred_order``.  Instances with an empty cue
-    match nothing.
+    as lists of records, the last two in ``pred_order``.  Instances with an
+    empty cue match nothing.
     """
     free = list(pred_order)
-    matched: list[tuple[NegationInstance, NegationInstance]] = []
-    unmatched_gold: list[NegationInstance] = []
+    matched: list[tuple[tuple, tuple]] = []
+    unmatched_gold: list[tuple] = []
     exact = mode is CueMatchMode.EXACT
     for g in gold_order:
-        cue = g.cue
+        cue = g[3]
         for slot, p in enumerate(free if cue else ()):
-            if cue == p.cue if exact else not cue.isdisjoint(p.cue):
+            if cue == p[3] if exact else not cue.isdisjoint(p[3]):
                 matched.append((g, free.pop(slot)))
                 break
         else:
             unmatched_gold.append(g)
-    partial_only = [p for p in free if any(not p.cue.isdisjoint(g.cue) for g in gold_order)]
+    partial_only = [p for p in free if any(not p[3].isdisjoint(g[3]) for g in gold_order)]
     return matched, unmatched_gold, free, partial_only
 
 
@@ -100,16 +96,17 @@ def align(gold: Sentence, pred: Sentence, mode: CueMatchMode = CueMatchMode.EXAC
         raise AlignmentError(f"sentence keys differ: {gold.key} vs {pred.key}")
     _check_tokens(gold, pred)
     matched, unmatched_gold, unmatched_pred, partial_only = _match(
-        sorted(gold.instances, key=_sort_key), sorted(pred.instances, key=_sort_key), mode
+        sorted(_records(gold)), sorted(_records(pred)), mode
     )
+    g_inst, p_inst = gold.instances, pred.instances
     return InstanceAlignment(
         doc_id=gold.doc_id,
         sent_index=gold.sent_index,
         mode=mode,
-        matched=tuple(matched),
-        unmatched_gold=tuple(unmatched_gold),
-        unmatched_pred=tuple(unmatched_pred),
-        partial_only_pred=tuple(partial_only),
+        matched=tuple((g_inst[g[2]], p_inst[p[2]]) for g, p in matched),
+        unmatched_gold=tuple(g_inst[g[2]] for g in unmatched_gold),
+        unmatched_pred=tuple(p_inst[p[2]] for p in unmatched_pred),
+        partial_only_pred=tuple(p_inst[p[2]] for p in partial_only),
     )
 
 

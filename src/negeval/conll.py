@@ -146,10 +146,12 @@ def _parse_sentence(
     numbers, surfaces = cells[2::width], cells[3::width]
     annotation = [cells[j::width] for j in range(_FIXED_COLUMNS, width)]
     # Checks over whole columns pass for well-formed rows; otherwise the
-    # row walk finds the first error, or accepts the rows (a token number
-    # "01", a sentence longer than _NUMBERS).
+    # row walk finds the first error, or accepts the rows (a token or
+    # sentence number "01", a sentence longer than _NUMBERS).
     if not (
-        numbers == _NUMBERS[:n]
+        cells[0::width].count(doc_id) == n
+        and cells[1::width].count(first_cols[1]) == n
+        and numbers == _NUMBERS[:n]
         and all(surfaces)
         and (
             not any(_NO_NEG in column for column in annotation)
@@ -209,13 +211,26 @@ def _element_set(
 def _check_rows(
     rows: list[list[str]], width: int, has_negation: bool, source: str, first_line: int
 ) -> None:
-    """Raise the first row error in reading order: width, token number,
-    surface, then the ``***`` cells."""
+    """Raise the first row error in reading order: width, document id,
+    sentence number, token number, surface, then the ``***`` cells."""
+    doc_id, sent_no = rows[0][0], int(rows[0][1])
     for position, cols in enumerate(rows):
         lineno = first_line + position
         if len(cols) != width:
             raise ParseError(
                 f"expected {width} columns as in the first row of the sentence, found {len(cols)}",
+                source,
+                lineno,
+            )
+        if cols[0] != doc_id:
+            raise ParseError(
+                f"document id {cols[0]!r} differs from {doc_id!r} in the first row of the sentence",
+                source,
+                lineno,
+            )
+        if _parse_int(cols[1], source, lineno, "sentence number") != sent_no:
+            raise ParseError(
+                f"sentence number {cols[1]!r} differs from {rows[0][1]!r} in the first row of the sentence",
                 source,
                 lineno,
             )

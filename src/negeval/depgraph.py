@@ -89,6 +89,8 @@ def encode(
                 Diagnostic("warning", code, message, sentence.doc_id, sentence.sent_index)
             )
 
+    if not sentence.instances:
+        return NegDepGraph(len(sentence.tokens), frozenset())
     insts = []
     for inst in sentence.instances:
         if any(e.text is not None for e in (*inst.cue, *inst.scope, *inst.event)):
@@ -172,6 +174,8 @@ def decode(graph: NegDepGraph, kind: EncodingKind) -> list[NegationInstance]:
     Raises :class:`GraphError` for S/E/MWC edges whose head carries no CUE
     edge and for cycles in the nesting relation of a nested graph.
     """
+    if not graph.edges:
+        return []
     reps = sorted(e.dependent for e in graph.edges if e.head is None and e.label == LABEL_CUE)
     rep_set = set(reps)
     for edge in graph.edges:
@@ -303,8 +307,15 @@ def _parse_graph_block(lines: list[str], first_line: int, source: str):
 
 
 def decode_corpus(text: str, kind: EncodingKind, source: str = "<string>", name: str = "") -> Corpus:
+    """Decode serialised graphs into a corpus.  Raises :class:`ParseError`,
+    with the line of its block, for a sentence key an earlier block has."""
     sentences = []
-    for doc_id, sent_index, surfaces, graph in parse_graph_corpus(text, source):
+    keys: set[tuple[str, int]] = set()
+    for first_line, lines in _blocks(text):
+        doc_id, sent_index, surfaces, graph = _parse_graph_block(lines, first_line, source)
+        if (doc_id, sent_index) in keys:
+            raise ParseError(f"duplicate sentence key {(doc_id, sent_index)}", source, first_line)
+        keys.add((doc_id, sent_index))
         n = len(surfaces)
         tokens = tuple(
             map(Token, range(n), surfaces, repeat(None, n), repeat(None, n), map(is_punct_surface, surfaces))

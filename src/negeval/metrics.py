@@ -148,7 +148,9 @@ class _Tally:
     ``add`` takes one sentence's matching in one cue-match mode and counts
     cues, per mode.  ``add_scopes`` takes the same sentence's exact matching
     and counts scopes, with the sums of the per-instance ``scorers``.
-    ``add_sentence`` counts CNS.  Sums are added in the order the sentences
+    ``add_sentence`` counts CNS.  An instance reaches the tally as a tuple
+    that ends with its cue and scope sets: a ``model._records`` record
+    or an ``instance_signature``.  Sums are added in the order the sentences
     and their matched pairs arrive.
     """
 
@@ -171,20 +173,25 @@ class _Tally:
 
     def add_scopes(self, matched, unmatched_gold, unmatched_pred) -> None:
         sums = self.sums.items()
+        tp = overlap = gold_mass = pred_mass = 0
         for g, p in matched:
-            s_g, s_p = g.scope, p.scope
-            self.scope_tp += s_g == s_p
-            self.overlap += len(s_g & s_p)
-            self.gold_mass += len(s_g)
-            self.pred_mass += len(s_p)
+            s_g, s_p = g[-1], p[-1]
+            tp += s_g == s_p
+            overlap += len(s_g & s_p)
+            gold_mass += len(s_g)
+            pred_mass += len(s_p)
             for scorer, pair in sums:
                 p_score, r_score = scorer.score(s_g, s_p)
                 pair[0] += p_score
                 pair[1] += r_score
         for g in unmatched_gold:
-            self.gold_mass += len(g.scope)
+            gold_mass += len(g[-1])
         for p in unmatched_pred:
-            self.pred_mass += len(p.scope)
+            pred_mass += len(p[-1])
+        self.scope_tp += tp
+        self.overlap += overlap
+        self.gold_mass += gold_mass
+        self.pred_mass += pred_mass
 
     def add_sentence(self, gold_instances, pred_instances, count_all_sentences: bool) -> None:
         """Count one sentence pair for CNS: instances compare as (cue set,
@@ -192,14 +199,14 @@ class _Tally:
         if not count_all_sentences and not gold_instances:
             return
         self.cns_total += 1
-        if len(gold_instances) != len(pred_instances):
+        n = len(gold_instances)
+        if n != len(pred_instances):
             return
-        if len(gold_instances) == 1:
-            same = instance_signature(gold_instances[0]) == instance_signature(pred_instances[0])
+        if n == 1:
+            (g,), (p,) = gold_instances, pred_instances
+            same = g[-1] == p[-1] and g[-2] == p[-2]
         else:
-            same = Counter(map(instance_signature, gold_instances)) == Counter(
-                map(instance_signature, pred_instances)
-            )
+            same = Counter(i[-2:] for i in gold_instances) == Counter(i[-2:] for i in pred_instances)
         self.cns_correct += same
 
     def cue_prf(self, mode: CueMatchMode, variant: str) -> PRF:
@@ -231,7 +238,11 @@ def _fold(
     for a in alignments:
         tally.add(a.mode, a.matched, a.unmatched_gold, a.unmatched_pred, a.partial_only_pred)
         if scopes:
-            tally.add_scopes(a.matched, a.unmatched_gold, a.unmatched_pred)
+            tally.add_scopes(
+                [(instance_signature(g), instance_signature(p)) for g, p in a.matched],
+                map(instance_signature, a.unmatched_gold),
+                map(instance_signature, a.unmatched_pred),
+            )
     return tally
 
 
@@ -336,5 +347,9 @@ def correct_sentence_ratio(
     """
     tally = _Tally()
     for sent, pred_sent in _sentence_pairs(gold, pred):
-        tally.add_sentence(sent.instances, pred_sent.instances, count_all_sentences)
+        tally.add_sentence(
+            list(map(instance_signature, sent.instances)),
+            list(map(instance_signature, pred_sent.instances)),
+            count_all_sentences,
+        )
     return tally.sentence_accuracy()

@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .alignment import CueMatchMode, _check_tokens, _match, _sentence_pairs, _sort_key
+from .alignment import CueMatchMode, _check_tokens, _match, _sentence_pairs
 from .metrics import EXACT_SCORER, PRF, TOKEN_SCORER, SentenceAccuracy, _Tally, percent
-from .model import Corpus, _gc_paused, _kept_instances, _punct_indices
+from .model import Corpus, _gc_paused, _punct_indices, _records
 
 # full_report no longer calls these, but they stay importable from here:
 # perfbench/tracing.py installs its spans on this module's names.
@@ -203,28 +203,30 @@ class MetricReport:
 def _count(gold: Corpus, pred: Corpus, keep_punct: bool, cns_all_sentences: bool) -> _Tally:
     """Every count of a report, in one walk over the paired sentences.
 
-    Each pair is checked, stripped (unless ``keep_punct``), sorted once and
-    matched in both cue-match modes, as ``strip_punctuation`` and
-    ``align_corpus`` would do it, and its counts go straight to the tally.
+    Each pair is checked, turned into records (stripped unless
+    ``keep_punct``, as ``strip_punctuation`` would strip it), sorted once and
+    matched in both cue-match modes, as ``align_corpus`` would match it, and
+    its counts go straight to the tally.  No instance is rebuilt.
     """
     tally = _Tally((TOKEN_SCORER, EXACT_SCORER))
+    exact, partial = CueMatchMode.EXACT, CueMatchMode.PARTIAL
     for g_sent, p_sent in _sentence_pairs(gold, pred):
         _check_tokens(g_sent, p_sent)
-        g_inst, p_inst = g_sent.instances, p_sent.instances
-        if not keep_punct and (g_inst or p_inst):
-            punct = _punct_indices(g_sent.tokens)
-            g_inst = _kept_instances(g_sent, punct)
-            if p_sent.tokens is not g_sent.tokens:
-                punct = _punct_indices(p_sent.tokens)
-            p_inst = _kept_instances(p_sent, punct)
-        tally.add_sentence(g_inst, p_inst, cns_all_sentences)
-        if g_inst or p_inst:
-            g_order = sorted(g_inst, key=_sort_key)
-            p_order = sorted(p_inst, key=_sort_key)
-            matched, unmatched_gold, unmatched_pred, partial_only = _match(g_order, p_order, CueMatchMode.EXACT)
-            tally.add(CueMatchMode.EXACT, matched, unmatched_gold, unmatched_pred, partial_only)
-            tally.add_scopes(matched, unmatched_gold, unmatched_pred)
-            tally.add(CueMatchMode.PARTIAL, *_match(g_order, p_order, CueMatchMode.PARTIAL))
+        if not (g_sent.instances or p_sent.instances):
+            tally.add_sentence((), (), cns_all_sentences)
+            continue
+        punct = None if keep_punct else _punct_indices(g_sent.tokens)
+        g_rec = _records(g_sent, punct)
+        if punct is not None and p_sent.tokens is not g_sent.tokens:
+            punct = _punct_indices(p_sent.tokens)
+        p_rec = _records(p_sent, punct)
+        tally.add_sentence(g_rec, p_rec, cns_all_sentences)
+        g_rec.sort()
+        p_rec.sort()
+        matched, unmatched_gold, unmatched_pred, partial_only = _match(g_rec, p_rec, exact)
+        tally.add(exact, matched, unmatched_gold, unmatched_pred, partial_only)
+        tally.add_scopes(matched, unmatched_gold, unmatched_pred)
+        tally.add(partial, *_match(g_rec, p_rec, partial))
     return tally
 
 

@@ -46,6 +46,15 @@ def test_identical_sentences_fully_match():
     assert result.unmatched_gold == () and result.unmatched_pred == ()
 
 
+@pytest.mark.parametrize("mode", list(CueMatchMode))
+def test_instances_with_an_empty_cue_match_nothing(mode):
+    gold = sentence(WORDS, [inst((), {5}, 0), inst({3}, {5}, 1)])
+    result = align(gold, gold, mode)
+    assert [(g.instance_id, p.instance_id) for g, p in result.matched] == [(1, 1)]
+    assert result.unmatched_gold == result.unmatched_pred == (gold.instances[0],)
+    assert result.partial_only_pred == ()
+
+
 def test_multiword_cue_exact_vs_partial():
     gold = sentence(WORDS, [inst({3, 4}, {5})])  # cue "no more"
     pred = sentence(WORDS, [inst({3}, {5})])  # cue "no"

@@ -112,6 +112,29 @@ def test_dep_decode_rejects_uninterpretable_edges(capsys, tmp_path, row):
     assert err.count("\n") == 1
 
 
+def test_row_of_another_sentence_is_a_parse_error(capsys, tmp_path):
+    conll = tmp_path / "mixed.conll"
+    rows = [("d", "0", "0", "a"), ("d", "0", "1", "b"), ("e", "7", "2", "c")]
+    conll.write_text("".join("\t".join([*cols, "_", "_", "_", "***"]) + "\n" for cols in rows), encoding="utf-8")
+    code, out, err = run(capsys, "stats", str(conll))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == (
+        f"negeval: parse-error: {conll}:3: document id 'e' differs from 'd' in the first row of the sentence\n"
+    )
+
+
+def test_dep_decode_rejects_a_repeated_sentence_key(capsys, tmp_path):
+    graph = tmp_path / "twice.graph"
+    graph.write_text(
+        "#doc d\n#sent 0\n1\tno\t0:CUE\n\n#doc e\n#sent 0\n1\tyes\t_\n\n#doc d\n#sent 0\n1\tno\t_\n", encoding="utf-8"
+    )
+    out_path = tmp_path / "decoded.conll"
+    code, out, err = run(capsys, "dep-decode", str(graph), "-o", str(out_path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"negeval: parse-error: {graph}:9: duplicate sentence key ('d', 0)\n"
+    assert not out_path.exists()
+
+
 def test_dropped_instance_warnings_are_prefixed_once_per_call(capsys, tmp_path):
     words = [("no", "DT"), (",", ","), ("way", "NN"), (".", ".")]
     gold_cells = [["no", "_", "_"], ["_", "_", "_"], ["_", "way", "_"], ["_", "_", "_"]]

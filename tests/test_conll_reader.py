@@ -61,6 +61,18 @@ def error_of(*lines: str) -> str:
             "bad.conll:1: sentence number is not an integer: 'x'",
         ),
         (
+            [plain(0, "a"), plain(1, "b"), row("e", "7", "2", "c", "c", "X", "_", "***")],
+            "bad.conll:3: document id 'e' differs from 'd' in the first row of the sentence",
+        ),
+        (
+            [plain(0, "a"), row("d", "3", "1", "b", "b", "X", "_", "***")],
+            "bad.conll:2: sentence number '3' differs from '0' in the first row of the sentence",
+        ),
+        (
+            [plain(0, "a"), row("d", "x", "1", "b", "b", "X", "_", "***")],
+            "bad.conll:2: sentence number is not an integer: 'x'",
+        ),
+        (
             [plain(0, "a"), row("d", "0", "one", "b", "b", "X", "_", "***")],
             "bad.conll:2: token number is not an integer: 'one'",
         ),
@@ -90,6 +102,9 @@ def error_of(*lines: str) -> str:
         "not-triples",
         "ragged-row",
         "sentence-number",
+        "other-document",
+        "other-sentence",
+        "later-sentence-number",
         "token-number",
         "non-contiguous",
         "empty-surface",
@@ -128,6 +143,11 @@ def test_the_earlier_of_two_faulty_rows_is_reported():
     [
         # width before token number
         (row("d", "0", "x", "b", "b", "X", "_", "***", "_"), "expected 8 columns as in the first row of the sentence, found 9"),
+        # width before document id, document id before sentence number,
+        # sentence number before token number
+        (row("e", "0", "x", "b", "b", "X", "_", "***", "_"), "expected 8 columns as in the first row of the sentence, found 9"),
+        (row("e", "1", "x", "b", "b", "X", "_", "***"), "document id 'e' differs from 'd' in the first row of the sentence"),
+        (row("d", "1", "x", "b", "b", "X", "_", "***"), "sentence number '1' differs from '0' in the first row of the sentence"),
         # token number before surface
         (row("d", "0", "x", "", "b", "X", "_", "***"), "token number is not an integer: 'x'"),
         (row("d", "0", "7", "", "b", "X", "_", "***"), "token numbers must be contiguous from 0, found 7 at position 1"),
@@ -226,8 +246,18 @@ CANONICAL = "\n".join(
         "\n\n" + CANONICAL + "\n\n",
         CANONICAL.rstrip("\n"),
         CANONICAL.replace("\t1\t0\t", "\t1\t00\t").replace("\t1\t1\t", "\t1\t01\t"),
+        CANONICAL.replace("d\t1\t1\t", "d\t01\t1\t"),
     ],
-    ids=["spaces", "space-runs", "crlf", "whitespace-separator", "extra-blank-lines", "no-final-newline", "zero-padded"],
+    ids=[
+        "spaces",
+        "space-runs",
+        "crlf",
+        "whitespace-separator",
+        "extra-blank-lines",
+        "no-final-newline",
+        "zero-padded",
+        "zero-padded-sentence-number",
+    ],
 )
 def test_accepted_variants_parse_as_the_canonical_form(variant):
     assert parse_sem_conll(variant) == parse_sem_conll(CANONICAL)

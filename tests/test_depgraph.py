@@ -9,6 +9,7 @@ from negeval import (
     AnnotationElement,
     GraphError,
     NegationInstance,
+    ParseError,
     Sentence,
     Token,
 )
@@ -194,3 +195,49 @@ class TestSerialization:
         text = encode_corpus(nested_corpus, EncodingKind.NESTED)
         corpus = decode_corpus(text, EncodingKind.NESTED)
         assert signatures(corpus.sentences[0].instances) == signatures(nested_corpus.sentences[0].instances)
+
+
+# ---------------------------------------------------------------------------
+# Reading graph blocks: other layouts give what format_graph's layout
+# gives, and each row error names its line
+
+
+GRAPH = "#doc d\n#sent 4\n1\tno\t0:CUE\n2\tway\t1:S|1:E\n3\t.\t_\n"
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        GRAPH.replace("#doc d\n#sent 4\n", "#sent 4\n#doc d\n"),
+        GRAPH.replace("\n2\t", "\n02\t"),
+        GRAPH.replace("#sent 4\n", "#sent 4\n#doc e\n#doc d\n"),
+        GRAPH + "#doc d\n",
+    ],
+    ids=["sent-first", "zero-padded", "repeated-doc", "trailing-doc"],
+)
+def test_other_graph_layouts_parse_as_the_written_one(variant):
+    written = parse_graph_corpus(GRAPH)
+    edges = frozenset({Edge(None, 0, "CUE"), Edge(0, 1, "S"), Edge(0, 1, "E")})
+    assert written == [("d", 4, ("no", "way", "."), NegDepGraph(3, edges))]
+    assert parse_graph_corpus(variant) == written
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("#sent 4", "#sent four", "g:2: malformed #sent line"),
+        ("2\tway\t1:S|1:E", "2\tway", "g:4: expected 3 columns in graph row, found 2"),
+        ("2\tway\t1:S|1:E", "2\tway\t1:S\t_", "g:4: expected 3 columns in graph row, found 4"),
+        ("3\t.", "4\t.", "g:5: token indices must be contiguous from 1, found 4"),
+        ("1:S|1:E", "1:S|1", "g:4: malformed head:label pair '1'"),
+        ("1:S|1:E", "1:S|1:X", "g:4: unknown edge label in '1:X'"),
+        ("1:S|1:E", "one:S", "g:4: bad head index in 'one:S'"),
+        ("1:S|1:E", "1:S|", "g:4: malformed head:label pair ''"),
+        ("1:S|1:E", "4:S", "g:4: head index 4 outside 0..3 of its sentence"),
+        ("0:CUE", "9:CUE", "g:3: head index 9 outside 0..3 of its sentence"),
+    ],
+)
+def test_graph_row_errors_name_their_line(old, new, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph_corpus(GRAPH.replace(old, new), source="g")
+    assert str(err.value) == message

@@ -10,9 +10,12 @@ import pytest
 import negeval.report
 from negeval import (
     AlignmentError,
+    AnnotationElement,
     Corpus,
     CueMatchMode,
     EXACT_SCORER,
+    NegationInstance,
+    Sentence,
     TOKEN_SCORER,
     Token,
     align,
@@ -28,7 +31,7 @@ from negeval import (
 from negeval.metrics import percent
 from negeval.report import METRIC_ORDER, MetricReport
 from negeval.testing import perturb_predictions, random_corpus
-from test_reference_scorer import corpus_pair
+from test_reference_scorer import _report_counts, corpus_pair, reference_counts
 
 
 def test_report_contains_all_metrics(gold_corpus, system_a):
@@ -234,6 +237,52 @@ def test_full_report_equals_the_public_functions(keep_punct, cns_all_sentences):
         options = dict(keep_punct=keep_punct, cns_all_sentences=cns_all_sentences)
         want = _report_from_public_functions(gold, pred, **options).to_json()
         assert full_report(gold, pred, **options).to_json() == want, seed
+
+
+def _instance(cue, scope, instance_id):
+    return NegationInstance(
+        frozenset(map(AnnotationElement, cue)), frozenset(map(AnnotationElement, scope)), instance_id=instance_id
+    )
+
+
+def _sentence(index, surfaces, instances):
+    tokens = tuple(Token(i, w, is_punct=w in ",.") for i, w in enumerate(surfaces))
+    return Sentence("d", index, tokens, tuple(_instance(*inst) for inst in instances))
+
+
+# Instances whose cues share their first token are ordered by id, and the
+# first of two equal cues takes the match, so these pairs score differently
+# when a wrong id or order breaks the tie.
+ORDER_PAIRS = [
+    (  # a punctuation token: stripping drops the comma cue and renumbers by position
+        ["a", "no", "b", "c", ",", "d"],
+        [({1}, {2, 4}, 1), ({1}, {3}, 0), ({1, 5}, {0}, 0)],
+        [({1}, {3}, 0), ({4}, {0}, 2), ({1}, {2, 4}, 0), ({1, 5}, {0, 4}, 3)],
+    ),
+    (  # no punctuation token: the ids are kept, repeated and out of order
+        ["a", "no", "b", "c"],
+        [({1}, {2}, 3), ({1, 3}, {0}, 2), ({1}, {0}, 2)],
+        [({1}, {0}, 9), ({1, 3}, {0, 2}, 9), ({1}, {2}, 9)],
+    ),
+    (["never", "."], [], [({0}, {1}, 0)]),
+    (["fine", "."], [], []),
+    (["not", "this", "."], [({0}, {1, 2}, 5)], []),
+]
+
+
+@pytest.mark.parametrize("keep_punct", [False, True])
+@pytest.mark.parametrize("cns_all_sentences", [False, True])
+def test_full_report_orders_instances_as_align_does(keep_punct, cns_all_sentences):
+    gold = Corpus(tuple(_sentence(k, words, g) for k, (words, g, _) in enumerate(ORDER_PAIRS)), "gold")
+    pred = Corpus(tuple(_sentence(k, words, p) for k, (words, _, p) in enumerate(ORDER_PAIRS)), "pred")
+    options = dict(keep_punct=keep_punct, cns_all_sentences=cns_all_sentences)
+    report = full_report(gold, pred, **options)
+    assert report.to_json() == _report_from_public_functions(gold, pred, **options).to_json()
+    # align_corpus shares the record order, so check it against the brute-force scorer too
+    found = _report_counts(report)
+    want = reference_counts(gold, pred, keep_punct=keep_punct, cns_all=cns_all_sentences)
+    assert found.pop("inst_tok") == pytest.approx(want.pop("inst_tok"))
+    assert found == want
 
 
 def test_full_report_raises_the_alignment_error_of_align(gold_corpus):
