@@ -13,7 +13,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import IO
 
-from .conll import _decode
+from .conll import _check_keys, _decode
 from .errors import ParseError
 from .model import (
     AnnotationElement,
@@ -38,7 +38,12 @@ def parse_bioscope(
     name: str = "",
     source: str = "<string>",
 ) -> Corpus:
-    """Parse one BioScope XML document set into a :class:`Corpus`."""
+    """Parse one BioScope XML document set into a :class:`Corpus`.
+
+    Raises :class:`ParseError` for malformed XML, a cue or scope without its
+    counterpart, and a sentence key that an earlier sentence has (two
+    documents with one ``DocumentID``).
+    """
     try:
         root = ET.fromstring(_decode(data, source))
     except ET.ParseError as exc:
@@ -55,6 +60,7 @@ def parse_bioscope(
             sentences.append(
                 _parse_sentence(sent_el, doc_id, sent_index, tokenizer, remove_cue_from_scope, source)
             )
+    _check_keys(sentences, source)
     return Corpus(tuple(sentences), name=name)
 
 

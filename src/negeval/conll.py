@@ -87,7 +87,8 @@ def parse_sem_conll(
 
     Raises :class:`ParseError` (with line numbers) for ragged column counts,
     annotation cells that do not occur in their token's surface, ``***``
-    cells mixed with instance cells and instances without a cue cell.
+    cells mixed with instance cells, instances without a cue cell and a
+    sentence key that an earlier sentence has.
 
     A sentence whose key is in ``tokens_from`` and whose rows give the same
     tokens as that sentence's reuses its token tuple, so a prediction file
@@ -99,7 +100,25 @@ def parse_sem_conll(
         _parse_sentence(lines, first_line, source, punct_pos, known)
         for first_line, lines in _blocks(text)
     ]
+    _check_keys(sentences, source, text)
     return Corpus(tuple(sentences), name=name)
+
+
+def _check_keys(sentences: list[Sentence], source: str, text: str | None = None) -> None:
+    """Raise a ParseError for the first sentence whose key an earlier one has.
+
+    With ``text``, the input in which each of ``_blocks(text)`` holds one
+    sentence, the error names the first line of the repeated sentence.
+    """
+    keys = [(s.doc_id, s.sent_index) for s in sentences]
+    if len(set(keys)) == len(keys):
+        return
+    seen = set()
+    for position, key in enumerate(keys):
+        if key in seen:
+            line = None if text is None else next(itertools.islice(_blocks(text), position, None))[0]
+            raise ParseError(f"duplicate sentence key {key}", source, line)
+        seen.add(key)
 
 
 _token_fields = operator.attrgetter("index", "surface", "lemma", "pos", "is_punct")
@@ -279,10 +298,13 @@ def write_sem_conll(corpus: Corpus) -> str:
     Sub-span elements are written as their substring text, whole-token
     elements as the full surface; sentences without instances get the
     single ``***`` cell.  Raises :class:`UsageError` for a cell holding a
-    tab, line feed or carriage return, which the layout cannot represent.
+    tab, line feed or carriage return, and for a sentence without tokens,
+    which the layout cannot represent.
     """
     blocks = []
     for sent in corpus.sentences:
+        if not sent.tokens:
+            raise UsageError(f"cannot write sentence {sent.key}: it has no tokens")
         head = f"{sent.doc_id}\t{sent.sent_index}"
         tail = "" if sent.instances else f"\t{_NO_NEG}"
         rows = [
@@ -293,9 +315,8 @@ def write_sem_conll(corpus: Corpus) -> str:
         if sent.instances:
             rows = list(map("\t".join, zip(rows, *_annotation_columns(sent))))
         block = "\n".join(rows)
-        if rows:
-            annotation_cells = 3 * len(sent.instances) or 1  # the triples, or "***"
-            _check_block(sent, block, rows, _FIXED_COLUMNS + annotation_cells - 1)
+        annotation_cells = 3 * len(sent.instances) or 1  # the triples, or "***"
+        _check_block(sent, block, rows, _FIXED_COLUMNS + annotation_cells - 1)
         blocks.append(block)
     if not blocks:
         return ""

@@ -13,7 +13,8 @@ S link from the outer representative to the inner one; decoding expands the
 inner instance's cue and scope back into the outer scope.  When instances
 overlap without one containing the other (no innermost instance exists),
 the affected tokens fall back to direct attachment and a diagnostic is
-recorded.
+recorded; a nested graph that does not decode back to its instances is
+recorded too.
 
 Sub-token (affix) elements cannot be represented: they are promoted to
 their containing token with a diagnostic, which is lossy.
@@ -22,10 +23,11 @@ their containing token with a diagnostic, which is lossy.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
-from .conll import _blocks, _check_block
+from .conll import _blocks, _check_block, _check_keys
 from .errors import GraphError, ParseError
 from .model import (
     Corpus,
@@ -80,7 +82,10 @@ def encode(
     """Encode a sentence's instances as a negation dependency graph.
 
     Raises :class:`GraphError` when two instances share a representative
-    token (their edges would be indistinguishable).
+    token (their edges would be indistinguishable).  With a ``diagnostics``
+    list, a nested graph is decoded again, and a graph that does not give
+    back the instances' cue, scope and event tokens adds a ``nested-lossy``
+    warning.
     """
 
     def diag(code: str, message: str) -> None:
@@ -165,7 +170,19 @@ def encode(
     for (_, _, event), rep in zip(insts, reps):
         for t in event:
             edges.add(Edge(rep, t, LABEL_EVENT))
-    return NegDepGraph(len(sentence.tokens), frozenset(edges))
+    graph = NegDepGraph(len(sentence.tokens), frozenset(edges))
+    if diagnostics is not None and not _decodes_to(graph, insts):
+        diag("nested-lossy", "the nested graph does not decode to these instances")
+    return graph
+
+
+def _decodes_to(graph: NegDepGraph, insts: list[tuple[frozenset[int], ...]]) -> bool:
+    """Whether the nested ``graph`` decodes to the token sets ``insts``, in any order."""
+    try:
+        decoded = decode(graph, EncodingKind.NESTED)
+    except GraphError:
+        return False
+    return Counter(map(_token_sets, decoded)) == Counter(insts)
 
 
 def decode(graph: NegDepGraph, kind: EncodingKind) -> list[NegationInstance]:
@@ -278,6 +295,8 @@ def _parse_graph_block(lines: list[str], first_line: int, source: str):
         cols = line.split("\t")
         if len(cols) != 3:
             raise ParseError(f"expected 3 columns in graph row, found {len(cols)}", source, lineno)
+        if not cols[1]:
+            raise ParseError("empty token surface", source, lineno)
         try:
             index = int(cols[0]) - 1
         except ValueError:
@@ -308,14 +327,11 @@ def _parse_graph_block(lines: list[str], first_line: int, source: str):
 
 def decode_corpus(text: str, kind: EncodingKind, source: str = "<string>", name: str = "") -> Corpus:
     """Decode serialised graphs into a corpus.  Raises :class:`ParseError`,
-    with the line of its block, for a sentence key an earlier block has."""
+    with its row, for an empty token surface, and with the line of its
+    block, for a sentence key an earlier block has."""
     sentences = []
-    keys: set[tuple[str, int]] = set()
     for first_line, lines in _blocks(text):
         doc_id, sent_index, surfaces, graph = _parse_graph_block(lines, first_line, source)
-        if (doc_id, sent_index) in keys:
-            raise ParseError(f"duplicate sentence key {(doc_id, sent_index)}", source, first_line)
-        keys.add((doc_id, sent_index))
         n = len(surfaces)
         tokens = tuple(
             map(Token, range(n), surfaces, repeat(None, n), repeat(None, n), map(is_punct_surface, surfaces))
@@ -324,4 +340,5 @@ def decode_corpus(text: str, kind: EncodingKind, source: str = "<string>", name:
         sentences.append(
             Sentence(doc_id=doc_id, sent_index=sent_index, tokens=tokens, instances=instances)
         )
+    _check_keys(sentences, source, text)
     return Corpus(tuple(sentences), name=name)

@@ -323,7 +323,9 @@ def validate(corpus: Corpus) -> list[Diagnostic]:
     Errors: empty surfaces, non-contiguous token indices, out-of-range or
     out-of-bounds elements, empty cue sets, duplicate sentence keys.
     Warnings: cue sets shared between instances of one sentence (evaluation
-    still proceeds on such data).
+    still proceeds on such data).  The readers raise a ``ParseError`` for
+    input that would give one of these errors, so this is for corpora built
+    in Python.
     """
     diags: list[Diagnostic] = []
     seen_keys: set[tuple[str, int]] = set()

@@ -135,6 +135,44 @@ def test_dep_decode_rejects_a_repeated_sentence_key(capsys, tmp_path):
     assert not out_path.exists()
 
 
+_SENTENCE_D0 = "d\t0\t0\tno\tno\tDT\t_\t***\n"
+
+
+@pytest.mark.parametrize("command", ["stats", "evaluate-gold", "evaluate-pred"])
+def test_a_repeated_conll_sentence_key_is_named_at_its_line(capsys, tmp_path, command):
+    twice = tmp_path / "twice.conll"
+    twice.write_text(f"{_SENTENCE_D0}\n{_SENTENCE_D0}", encoding="utf-8")
+    once = tmp_path / "once.conll"
+    once.write_text(_SENTENCE_D0, encoding="utf-8")
+    argv = {
+        "stats": ["stats", str(twice)],
+        "evaluate-gold": ["evaluate", "--gold", str(twice), "--pred", str(once)],
+        "evaluate-pred": ["evaluate", "--gold", str(once), "--pred", str(twice)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"negeval: parse-error: {twice}:3: duplicate sentence key ('d', 0)\n"
+
+
+def test_a_repeated_bioscope_document_id_is_a_parse_error(capsys, tmp_path):
+    document = "<Document><DocumentID>A</DocumentID><sentence id='s'>No.</sentence></Document>"
+    xml = tmp_path / "twice.xml"
+    xml.write_text(f"<Annotation>{document}{document}</Annotation>", encoding="utf-8")
+    code, out, err = run(capsys, "stats", str(xml))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"negeval: parse-error: {xml}: duplicate sentence key ('A', 0)\n"
+
+
+def test_dep_decode_rejects_an_empty_surface(capsys, tmp_path):
+    graph = tmp_path / "empty.graph"
+    graph.write_text("#doc d\n#sent 0\n1\tno\t0:CUE\n2\t\t1:S\n", encoding="utf-8")
+    out_path = tmp_path / "decoded.conll"
+    code, out, err = run(capsys, "dep-decode", str(graph), "-o", str(out_path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"negeval: parse-error: {graph}:4: empty token surface\n"
+    assert not out_path.exists()
+
+
 def test_dropped_instance_warnings_are_prefixed_once_per_call(capsys, tmp_path):
     words = [("no", "DT"), (",", ","), ("way", "NN"), (".", ".")]
     gold_cells = [["no", "_", "_"], ["_", "_", "_"], ["_", "way", "_"], ["_", "_", "_"]]
@@ -392,6 +430,26 @@ def test_writers_refuse_a_token_with_a_tab_or_line_feed(capsys, tmp_path, contro
         assert not out_path.exists()
     code, out, _ = run(capsys, "stats", str(xml), "--format", "sfu")
     assert code == EXIT_OK and out.startswith("sentences\t1\n")
+
+
+@pytest.mark.parametrize("source", ["graph", "bioscope"])
+def test_conll_writer_refuses_a_sentence_without_tokens(capsys, tmp_path, source):
+    if source == "graph":
+        path = tmp_path / "e.graph"
+        path.write_text("#doc d\n#sent 0\n\n#doc d\n#sent 1\n1\tfoo\t_\n", encoding="utf-8")
+        command, key = "dep-decode", "('d', 0)"
+    else:
+        path = tmp_path / "e.xml"
+        path.write_text(
+            "<Document><DocumentID>A</DocumentID><sentence id='s'>No.</sentence><sentence id='e'/></Document>",
+            encoding="utf-8",
+        )
+        command, key = "convert", "('A', 1)"
+    out_path = tmp_path / "e.conll"
+    code, out, err = run(capsys, command, str(path), "-o", str(out_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"negeval: usage-error: cannot write sentence {key}: it has no tokens\n"
+    assert not out_path.exists()
 
 
 def test_evaluate_reads_predictions_with_the_gold_tokens(capsys, monkeypatch):

@@ -24,7 +24,7 @@ from negeval.depgraph import (
     format_graph,
     parse_graph_corpus,
 )
-from negeval.testing import random_laminar_sentence
+from negeval.testing import random_laminar_sentence, random_sentence
 
 
 def signatures(instances):
@@ -158,6 +158,49 @@ def test_random_laminar_round_trips():
         for kind in EncodingKind:
             back = decode(encode(sent, kind), kind)
             assert signatures(back) == signatures(sent.instances), (seed, kind)
+
+
+def _decoded(graph, kind):
+    """The (cue, scope, event) multiset ``graph`` decodes to, or None."""
+    try:
+        return Counter((i.cue, i.scope, i.event) for i in decode(graph, kind))
+    except GraphError:
+        return None
+
+
+def test_minimal_lossy_nested_case_warns():
+    # instance 1 is not nested in instance 0, yet its representative lies in
+    # instance 0's scope, so decoding would add token 3 to that scope
+    sent = Sentence("d", 0, tokens(4), (inst({0}, {0, 1}), inst({1}, {3}, instance_id=1), inst({3}, instance_id=2)))
+    diags = []
+    graph = encode(sent, EncodingKind.NESTED, diags)
+    assert [d.code for d in diags] == ["nested-lossy"]
+    assert _decoded(graph, EncodingKind.NESTED) != Counter((i.cue, i.scope, i.event) for i in sent.instances)
+
+
+def test_an_encoding_without_diagnostics_round_trips():
+    """Over random sentences with overlapping scopes and cues inside other
+    scopes, a sentence encoded without a diagnostic decodes to its own
+    instances, and a nested graph that does not gives a nested-lossy warning."""
+    rng = random.Random(2)
+    seen = Counter()
+    for n in range(2000):
+        sent = random_sentence(rng, "d", n, max_tokens=40, max_instances=3, punct_prob=0.25)
+        original = Counter((i.cue, i.scope, i.event) for i in sent.instances)
+        for kind in EncodingKind:
+            diags = []
+            graph = encode(sent, kind, diags)
+            codes = {d.code for d in diags}
+            same = _decoded(graph, kind) == original
+            assert same or "nested-lossy" in codes, (n, kind, codes)
+            if len(sent.instances) > 1:
+                seen[kind, bool(codes), same] += 1
+    assert seen.keys() == {
+        (EncodingKind.DIRECT, False, True),
+        (EncodingKind.NESTED, False, True),
+        (EncodingKind.NESTED, True, True),
+        (EncodingKind.NESTED, True, False),
+    }
 
 
 def test_nested_never_has_more_edges_than_direct():
