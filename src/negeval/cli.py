@@ -167,7 +167,11 @@ def cmd_convert(args) -> int:
 def cmd_dep_encode(args) -> int:
     corpus = _load_corpus(args.input, args)
     kind = EncodingKind(args.encoding)
-    _emit(args, encode_corpus(corpus, kind))
+    diagnostics = []
+    graphs = encode_corpus(corpus, kind, diagnostics)
+    for d in diagnostics:
+        sys.stderr.write(f"negeval: warning: {d.code} at {d.doc_id}#{d.sent_index}: {d.message}\n")
+    _emit(args, graphs)
     return EXIT_OK
 
 
@@ -233,6 +237,10 @@ def cmd_detect_coord(args) -> int:
 def _add_io_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("conll", "bioscope", "sfu"), help="input format (default: by extension)")
     parser.add_argument("--tokenizer", help="tokenizer rule file for XML input")
+    _add_output_option(parser)
+
+
+def _add_output_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", help="write output to this file instead of stdout")
 
 
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dep-decode", help="decode negation dependency graphs back to CoNLL")
     p.add_argument("input")
     p.add_argument("--encoding", choices=("direct", "nested"), default="direct")
-    _add_io_options(p)
+    _add_output_option(p)
     p.set_defaults(func=cmd_dep_decode)
 
     p = sub.add_parser("split", help="split a corpus into train/dev/test by document")

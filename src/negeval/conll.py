@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import IO, Iterator
+from typing import IO, Iterator, Sequence
 
 from .errors import ParseError, UsageError
 from .model import (
@@ -195,13 +195,7 @@ def _parse_sentence(
     instances = []
     for k in range(extra // 3 if has_negation else 0):
         triple = annotation[3 * k : 3 * k + 3]
-        try:
-            cue, scope, event = (
-                _element_set(column, tokens, source, first_line) for column in triple
-            )
-        except ParseError:
-            _check_cells(triple, tokens, source, first_line)
-            raise
+        cue, scope, event = _cell_sets(triple, tokens, source, range(first_line, first_line + n))
         if not cue:
             raise ParseError(f"instance {k} of {doc_id}#{sent_no} has no cue cell", source, first_line)
         instances.append(NegationInstance(cue, scope, event, k))
@@ -215,16 +209,24 @@ def _optional(column: list[str]) -> list[str | None]:
     return [None if cell == _EMPTY else cell for cell in column]
 
 
-def _element_set(
-    column: list[str], tokens: tuple[Token, ...], source: str, first_line: int
-) -> frozenset[AnnotationElement]:
-    return frozenset(
-        {
-            cell_element(cell, tokens[i], source, first_line + i)
-            for i, cell in enumerate(column)
-            if cell != _EMPTY
-        }
-    )
+def _cell_sets(
+    columns: list[list[str]], tokens: tuple[Token, ...], source: str, lines: Sequence[int]
+) -> list[frozenset[AnnotationElement]]:
+    """The cue, scope and event sets of one instance, read from its three
+    cell columns; the cells of token ``i`` are on line ``lines[i]``.  Raises
+    the ParseError of the first bad cell, token by token and then cue,
+    scope, event."""
+    try:
+        return [
+            frozenset({cell_element(c, tokens[i], source, lines[i]) for i, c in enumerate(column) if c != _EMPTY})
+            for column in columns
+        ]
+    except ParseError:
+        for i, row in enumerate(zip(*columns)):
+            for cell in row:
+                if cell != _EMPTY:
+                    cell_element(cell, tokens[i], source, lines[i])
+        raise
 
 
 def _check_rows(
@@ -274,17 +276,6 @@ def _check_rows(
             )
 
 
-def _check_cells(
-    cells: list[list[str]], tokens: tuple[Token, ...], source: str, first_line: int
-) -> None:
-    """Raise the first bad cell of an instance, row by row and then cue,
-    scope, event."""
-    for i, row in enumerate(zip(*cells)):
-        for cell in row:
-            if cell != _EMPTY:
-                cell_element(cell, tokens[i], source, first_line + i)
-
-
 def _parse_int(cell: str, source: str, lineno: int, what: str) -> int:
     try:
         return int(cell)
@@ -297,9 +288,10 @@ def write_sem_conll(corpus: Corpus) -> str:
 
     Sub-span elements are written as their substring text, whole-token
     elements as the full surface; sentences without instances get the
-    single ``***`` cell.  Raises :class:`UsageError` for a cell holding a
-    tab, line feed or carriage return, and for a sentence without tokens,
-    which the layout cannot represent.
+    single ``***`` cell.  Raises :class:`UsageError` for a set with two
+    elements on one token, for a cell holding a tab, line feed or carriage
+    return, and for a sentence without tokens, which the layout cannot
+    represent.
     """
     blocks = []
     for sent in corpus.sentences:
@@ -313,7 +305,7 @@ def write_sem_conll(corpus: Corpus) -> str:
             for t in sent.tokens
         ]
         if sent.instances:
-            rows = list(map("\t".join, zip(rows, *_annotation_columns(sent))))
+            rows = list(map("\t".join, zip(rows, *_cell_columns(sent, sent.instances))))
         block = "\n".join(rows)
         annotation_cells = 3 * len(sent.instances) or 1  # the triples, or "***"
         _check_block(sent, block, rows, _FIXED_COLUMNS + annotation_cells - 1)
@@ -323,12 +315,21 @@ def write_sem_conll(corpus: Corpus) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _annotation_columns(sent: Sentence) -> list[list[str]]:
-    """The cue, scope and event cells of each instance, one column each."""
+def _cell_columns(sent: Sentence, instances: tuple[NegationInstance, ...]) -> list[list[str]]:
+    """The cue, scope and event cells of each of ``instances``, one column
+    each, on the tokens of ``sent``.  Raises a UsageError for a set with two
+    elements on one token, which one cell cannot hold."""
     columns = []
-    for inst in sent.instances:
+    for inst in instances:
         for elements in (inst.cue, inst.scope, inst.event):
             cells = {e.token_index: e.effective_text(sent.tokens[e.token_index]) for e in elements}
+            if len(cells) != len(elements):
+                k, which = divmod(len(columns), 3)
+                token = min(i for i in cells if sum(e.token_index == i for e in elements) > 1)
+                raise UsageError(
+                    f"cannot write sentence {sent.key}: instance {k} has two "
+                    f"{('cue', 'scope', 'event')[which]} elements on token {token}"
+                )
             columns.append([cells.get(t.index, _EMPTY) for t in sent.tokens])
     return columns
 
@@ -348,15 +349,21 @@ def _check_block(sent: Sentence, block: str, rows: list[str], tabs: int, header_
         and "\r" not in block
     ):
         return
+    _check_token_rows(sent, rows, tabs)
+    raise UsageError(
+        f"cannot write sentence {sent.key}: its document id holds a tab, line feed or carriage return"
+    )
+
+
+def _check_token_rows(sent: Sentence, rows: list[str], tabs: int) -> None:
+    """Raise a UsageError naming the token of the first of ``rows``, one per
+    token of ``sent``, that holds other than ``tabs`` tabs or a line break."""
     for token, row in zip(sent.tokens, rows):
         if row.count("\t") != tabs or "\n" in row or "\r" in row:
             raise UsageError(
                 f"cannot write sentence {sent.key}: a cell of token {token.index} "
                 "holds a tab, line feed or carriage return"
             )
-    raise UsageError(
-        f"cannot write sentence {sent.key}: its document id holds a tab, line feed or carriage return"
-    )
 
 
 def load_sem_conll(

@@ -24,10 +24,9 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .conll import cell_element  # shared annotation-cell semantics
+from .conll import _cell_columns, _cell_sets, _check_token_rows
 from .errors import ParseError, PatchError, SplitError
 from .model import (
-    AnnotationElement,
     Corpus,
     NegationInstance,
     Sentence,
@@ -261,28 +260,20 @@ def parse_patch_file(text: str, corpus: Corpus, source: str = "<string>") -> lis
                     source,
                     lineno,
                 )
-            replacements.append(_instance_from_cells(cells, sent, source, lineno))
+            columns = [cells[0::3], cells[1::3], cells[2::3]]
+            cue, scope, event = _cell_sets(columns, sent.tokens, source, [lineno] * len(sent.tokens))
+            if not cue:
+                raise ParseError("replacement instance has no cue cell", source, lineno)
+            replacements.append(NegationInstance(cue, scope, event))
         else:
             raise ParseError(f"unknown patch directive {cols[0]!r}", source, lineno)
     flush()
     return patches
 
 
-def _instance_from_cells(cells: list[str], sent: Sentence, source: str, lineno: int) -> NegationInstance:
-    cue: set[AnnotationElement] = set()
-    scope: set[AnnotationElement] = set()
-    event: set[AnnotationElement] = set()
-    for token in sent.tokens:
-        for cell, bucket in zip(cells[3 * token.index : 3 * token.index + 3], (cue, scope, event)):
-            if cell != "_":
-                bucket.add(cell_element(cell, token, source, lineno))
-    if not cue:
-        raise ParseError("replacement instance has no cue cell", source, lineno)
-    return NegationInstance(frozenset(cue), frozenset(scope), frozenset(event))
-
-
 def format_patch_file(corpus: Corpus, patches: list[ReannotationPatch]) -> str:
-    """Render patches in the line-oriented patch format."""
+    """Render patches in the line-oriented patch format.  Raises
+    :class:`UsageError` for the cells that ``write_sem_conll`` refuses."""
     sentences = {s.key: s for s in corpus.sentences}
     blocks = []
     for patch in patches:
@@ -290,13 +281,13 @@ def format_patch_file(corpus: Corpus, patches: list[ReannotationPatch]) -> str:
         if sent is None:
             raise PatchError(f"patch targets unknown sentence {patch.doc_id}#{patch.sent_index}")
         lines = [f"target\t{patch.doc_id}\t{patch.sent_index}\t{patch.instance_id}"]
-        for inst in patch.replacement:
-            cells = []
-            for token in sent.tokens:
-                for elements in (inst.cue, inst.scope, inst.event):
-                    match = [e for e in elements if e.token_index == token.index]
-                    cells.append(match[0].effective_text(token) if match else "_")
-            lines.append("replace\t" + "\t".join(cells))
+        columns = _cell_columns(sent, patch.replacement)
+        for k in range(0, len(columns), 3):
+            triples = list(map("\t".join, zip(*columns[k : k + 3])))
+            line = "\t".join(["replace", *triples])
+            if line.count("\t") != 3 * len(triples) or "\n" in line or "\r" in line:
+                _check_token_rows(sent, triples, 2)
+            lines.append(line)
         blocks.append("\n".join(lines))
     return ("\n\n".join(blocks) + "\n") if blocks else ""
 

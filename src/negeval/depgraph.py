@@ -328,7 +328,8 @@ def _parse_graph_block(lines: list[str], first_line: int, source: str):
 def decode_corpus(text: str, kind: EncodingKind, source: str = "<string>", name: str = "") -> Corpus:
     """Decode serialised graphs into a corpus.  Raises :class:`ParseError`,
     with its row, for an empty token surface, and with the line of its
-    block, for a sentence key an earlier block has."""
+    block, for a sentence key an earlier block has; a :class:`GraphError`
+    from :func:`decode` also names the first line of its block."""
     sentences = []
     for first_line, lines in _blocks(text):
         doc_id, sent_index, surfaces, graph = _parse_graph_block(lines, first_line, source)
@@ -336,7 +337,10 @@ def decode_corpus(text: str, kind: EncodingKind, source: str = "<string>", name:
         tokens = tuple(
             map(Token, range(n), surfaces, repeat(None, n), repeat(None, n), map(is_punct_surface, surfaces))
         )
-        instances = tuple(decode(graph, kind))
+        try:
+            instances = tuple(decode(graph, kind))
+        except GraphError as exc:
+            raise GraphError(f"{source}:{first_line}: {exc}") from None
         sentences.append(
             Sentence(doc_id=doc_id, sent_index=sent_index, tokens=tokens, instances=instances)
         )

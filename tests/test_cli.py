@@ -12,7 +12,7 @@ import pytest
 import negeval
 from conftest import fixture_path
 from negeval import load_sem_conll, parse_sem_conll
-from negeval.cli import EXIT_ALIGNMENT, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SPLIT, EXIT_USAGE, main
+from negeval.cli import EXIT_ALIGNMENT, EXIT_GRAPH, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SPLIT, EXIT_USAGE, main
 
 GOLD = str(fixture_path("two_systems_gold.conll"))
 SYS_A = str(fixture_path("two_systems_a.conll"))
@@ -512,3 +512,85 @@ def test_module_runs_as_a_script():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (done.returncode, done.stdout) == (0, "negeval 0.1.0\n")
+
+
+def test_convert_refuses_two_cue_elements_on_one_token(capsys, tmp_path):
+    xml = tmp_path / "t.xml"
+    xml.write_text(
+        "<Document><DocumentID>A</DocumentID><sentence id='s'><xcope id='X1'>"
+        "<cue type='negation' ref='X1'>un</cue>believ<cue type='negation' ref='X1'>able</cue>"
+        "</xcope> claims.</sentence></Document>",
+        encoding="utf-8",
+    )
+    out_path = tmp_path / "t.conll"
+    code, out, err = run(capsys, "convert", str(xml), "--format", "bioscope", "-o", str(out_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "negeval: usage-error: cannot write sentence ('A', 0): instance 0 has two cue elements on token 0\n"
+    assert not out_path.exists()
+
+
+def test_detect_coord_refuses_a_tab_in_a_cell(capsys, tmp_path):
+    xml = tmp_path / "s.xml"
+    xml.write_text(
+        '<DOCUMENT><SENTENCE><cue type="negation" ID="1"><W>neither</W></cue><xcope ID="1"><W>New&#9;York</W>'
+        '</xcope><cue type="negation" ID="1"><W>nor</W></cue><xcope ID="1"><W>Boston</W></xcope></SENTENCE>'
+        "</DOCUMENT>\n",
+        encoding="utf-8",
+    )
+    out_path = tmp_path / "d.patch"
+    code, out, err = run(capsys, "detect-coord", str(xml), "--format", "sfu", "-o", str(out_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "negeval: usage-error: cannot write sentence ('s', 0): a cell of token 1 holds a tab, "
+        "line feed or carriage return\n"
+    )
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("encoding", ["direct", "nested"])
+def test_dep_encode_prints_the_encoder_diagnostics(capsys, encoding):
+    from negeval.depgraph import EncodingKind, encode_corpus
+
+    path = str(fixture_path("roundtrip.conll"))
+    code, out, err = run(capsys, "dep-encode", path, "--encoding", encoding)
+    assert code == EXIT_OK
+    assert err == (
+        "negeval: warning: affix-promoted at rt#0: instance 0 has sub-token elements; encoded at whole tokens\n"
+    )
+    assert out == encode_corpus(load_sem_conll(path), EncodingKind(encoding))
+
+
+def test_dep_encode_warns_for_a_nested_graph_that_does_not_decode(capsys, tmp_path):
+    # cue {0} with scope {0, 1}, cue {1} with scope {3}, cue {3} with no scope
+    rows = [
+        "a\ta\ta\t_\t_\t_\t_\t_\t_\t_",
+        "b\t_\tb\t_\tb\t_\t_\t_\t_\t_",
+        "c\t_\t_\t_\t_\t_\t_\t_\t_\t_",
+        "d\t_\t_\t_\t_\td\t_\td\t_\t_",
+    ]
+    lines = [f"n\t0\t{i}\t{row[0]}\t_\t_\t_{row[1:]}" for i, row in enumerate(rows)]
+    path = tmp_path / "n.conll"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "dep-encode", str(path), "--encoding", "nested")
+    assert code == EXIT_OK
+    assert err == "negeval: warning: nested-lossy at n#0: the nested graph does not decode to these instances\n"
+
+
+def test_a_graph_error_names_the_file_and_the_block(capsys, tmp_path):
+    # the cycle of test_depgraph.test_decode_rejects_nesting_cycles, as the second block
+    path = tmp_path / "n.graph"
+    path.write_text(
+        "#doc d\n#sent 0\n1\tx\t_\n\n#doc d\n#sent 1\n1\ta\t0:CUE|2:S\n2\tb\t0:CUE|1:S\n3\tc\t_\n4\td\t_\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "dep-decode", str(path), "--encoding", "nested")
+    assert (code, out) == (EXIT_GRAPH, "")
+    assert err == f"negeval: graph-error: {path}:5: cycle in nested encoding through representatives (0, 1, 0)\n"
+
+
+@pytest.mark.parametrize("option", [["--format", "sfu"], ["--tokenizer", "rules"]])
+def test_dep_decode_takes_no_input_options(capsys, tmp_path, option):
+    path = tmp_path / "g.graph"
+    path.write_text("#doc d\n#sent 0\n1\tx\t_\n", encoding="utf-8")
+    code, out, _ = run(capsys, "dep-decode", str(path), *option)
+    assert (code, out) == (EXIT_USAGE, "")

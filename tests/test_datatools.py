@@ -228,3 +228,36 @@ class TestPatchFile:
 
 def instance_sets(inst):
     return (inst.cue, inst.scope, inst.event)
+
+
+def test_patch_files_round_trip_every_set():
+    from test_reference_scorer import corpus_pair
+
+    affixes = 0
+    for seed in range(200):
+        for corpus in corpus_pair(seed):
+            patches = [
+                ReannotationPatch(s.doc_id, s.sent_index, 0, tuple(i for i in s.instances if i.cue))
+                for s in corpus.sentences
+                if any(i.cue for i in s.instances)
+            ]
+            again = parse_patch_file(format_patch_file(corpus, patches), corpus)
+            assert [p.target for p in again] == [p.target for p in patches], seed
+            for got, want in zip(again, patches):
+                assert list(map(instance_sets, got.replacement)) == list(map(instance_sets, want.replacement)), seed
+            affixes += any(e.text for p in patches for i in p.replacement for e in (*i.cue, *i.scope))
+    assert affixes > 50
+
+
+def test_writers_refuse_two_elements_of_one_set_on_one_token():
+    from negeval import UsageError, element_for, write_sem_conll
+
+    tokens = (Token(0, "unbelievable"), Token(1, "claims"))
+    cue = frozenset({element_for(tokens[0], (0, 2)), element_for(tokens[0], (8, 12))})
+    sent = Sentence("d", 0, tokens, (NegationInstance(cue, frozenset({AnnotationElement(1)})),))
+    corpus = Corpus((sent,))
+    message = r"^cannot write sentence \('d', 0\): instance 0 has two cue elements on token 0$"
+    with pytest.raises(UsageError, match=message):
+        write_sem_conll(corpus)
+    with pytest.raises(UsageError, match=message):
+        format_patch_file(corpus, [ReannotationPatch("d", 0, 0, sent.instances)])
