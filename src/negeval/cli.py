@@ -12,6 +12,7 @@ stderr; warnings that do not stop a command are ``negeval: warning:
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from pathlib import Path
@@ -189,13 +190,12 @@ def cmd_split(args) -> int:
     corpus = _load_corpus(args.input, args)
     assignment = None
     if args.assignment:
-        assignment = parse_assignment(_decode(Path(args.assignment).read_bytes(), args.assignment))
+        text = _decode(Path(args.assignment).read_bytes(), args.assignment)
+        assignment = parse_assignment(text, source=args.assignment)
     try:
         ratios = tuple(int(r) for r in args.ratios.split("/"))
     except ValueError:
         raise UsageError(f"--ratios must look like 80/10/10, got {args.ratios!r}") from None
-    if len(ratios) != 3:
-        raise UsageError(f"--ratios must have three parts, got {args.ratios!r}")
     spec = SplitSpec(ratios=ratios, seed=args.seed, assignment=assignment)
     parts = split_corpus(corpus, spec)
     stem = Path(args.output_prefix)
@@ -244,6 +244,7 @@ def _add_output_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", help="write output to this file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="negeval", description="Negation resolution corpora and evaluation toolkit"

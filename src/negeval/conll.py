@@ -289,9 +289,9 @@ def write_sem_conll(corpus: Corpus) -> str:
     Sub-span elements are written as their substring text, whole-token
     elements as the full surface; sentences without instances get the
     single ``***`` cell.  Raises :class:`UsageError` for a set with two
-    elements on one token, for a cell holding a tab, line feed or carriage
-    return, and for a sentence without tokens, which the layout cannot
-    represent.
+    elements on one token, for a document id or cell holding a tab, line
+    feed or carriage return, and for a sentence without tokens, which the
+    layout cannot represent.
     """
     blocks = []
     for sent in corpus.sentences:
@@ -335,8 +335,9 @@ def _cell_columns(sent: Sentence, instances: tuple[NegationInstance, ...]) -> li
 
 
 def _check_block(sent: Sentence, block: str, rows: list[str], tabs: int, header_lines: int = 0) -> None:
-    """Raise a UsageError when a cell of ``sent`` holds a tab, line feed or
-    carriage return, which would split it into more columns or lines.
+    """Raise a UsageError when the document id or a cell of ``sent`` holds a
+    tab, line feed or carriage return, which would split it into more
+    columns or lines.
 
     ``block`` is the sentence as written: ``header_lines`` lines without a
     tab, then ``rows``, one per token, each with ``tabs`` separators.
@@ -349,10 +350,17 @@ def _check_block(sent: Sentence, block: str, rows: list[str], tabs: int, header_
         and "\r" not in block
     ):
         return
+    _check_doc_id(sent)
     _check_token_rows(sent, rows, tabs)
-    raise UsageError(
-        f"cannot write sentence {sent.key}: its document id holds a tab, line feed or carriage return"
-    )
+
+
+def _check_doc_id(sent: Sentence) -> None:
+    """Raise a UsageError when the document id of ``sent`` holds a tab, line
+    feed or carriage return."""
+    if "\t" in sent.doc_id or "\n" in sent.doc_id or "\r" in sent.doc_id:
+        raise UsageError(
+            f"cannot write sentence {sent.key}: its document id holds a tab, line feed or carriage return"
+        )
 
 
 def _check_token_rows(sent: Sentence, rows: list[str], tabs: int) -> None:

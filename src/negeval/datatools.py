@@ -24,7 +24,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .conll import _cell_columns, _cell_sets, _check_token_rows
+from .conll import _blocks, _cell_columns, _cell_sets, _check_doc_id, _check_token_rows
 from .errors import ParseError, PatchError, SplitError
 from .model import (
     Corpus,
@@ -44,6 +44,8 @@ class SplitSpec:
     assignment: dict[str, str] | None = None
 
     def __post_init__(self):
+        if len(self.ratios) != len(PARTS):
+            raise SplitError(f"split ratios must have three parts, got {self.ratios}")
         if any(part < 0 for part in self.ratios):
             raise SplitError(f"split ratios must not be negative, got {self.ratios}")
         if sum(self.ratios) != 100:
@@ -54,17 +56,23 @@ class SplitSpec:
                     raise SplitError(f"unknown split part {part!r} for document {doc_id!r}")
 
 
-def parse_assignment(text: str) -> dict[str, str]:
-    """Parse a ``doc_id<TAB>part`` assignment file."""
-    assignment = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t") if "\t" in line else line.split()
-        if len(parts) != 2:
-            raise SplitError(f"line {lineno}: expected 'doc_id<TAB>part', got {raw!r}")
-        assignment[parts[0]] = parts[1]
+def parse_assignment(text: str, source: str = "<string>") -> dict[str, str]:
+    """Parse a ``doc_id<TAB>part`` assignment file.  Raises
+    :class:`SplitError`, with its line, for a line without two fields and
+    for a document that an earlier line assigns."""
+    assignment: dict[str, str] = {}
+    for first_line, lines in _blocks(text):
+        for lineno, raw in enumerate(lines, first_line):
+            line = raw.strip()
+            if line.startswith("#"):
+                continue
+            parts = line.split("\t") if "\t" in line else line.split()
+            if len(parts) != 2:
+                raise SplitError(f"expected 'doc_id<TAB>part', got {raw!r}", source, lineno)
+            doc_id, part = parts
+            if doc_id in assignment:
+                raise SplitError(f"document {doc_id!r} is assigned twice", source, lineno)
+            assignment[doc_id] = part
     return assignment
 
 
@@ -230,56 +238,55 @@ def parse_patch_file(text: str, corpus: Corpus, source: str = "<string>") -> lis
         )
         target, replacements = None, []
 
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            flush()
-            continue
-        if line.lstrip().startswith("#"):
-            continue
-        cols = line.split("\t")
-        if cols[0] == "target":
-            flush()
-            if len(cols) != 4:
-                raise ParseError("target line needs doc_id, sent_index, instance_id", source, lineno)
-            try:
-                target = (cols[1], int(cols[2]), int(cols[3]))
-            except ValueError:
-                raise ParseError("sent_index and instance_id must be integers", source, lineno) from None
-            target_line = lineno
-            if (target[0], target[1]) not in sentences:
-                raise ParseError(f"unknown sentence {target[0]}#{target[1]}", source, lineno)
-        elif cols[0] == "replace":
-            if target is None:
-                raise ParseError("replace line before any target line", source, lineno)
-            sent = sentences[(target[0], target[1])]
-            cells = cols[1:]
-            if len(cells) != 3 * len(sent.tokens):
-                raise ParseError(
-                    f"expected {3 * len(sent.tokens)} cells (3 per token), found {len(cells)}",
-                    source,
-                    lineno,
-                )
-            columns = [cells[0::3], cells[1::3], cells[2::3]]
-            cue, scope, event = _cell_sets(columns, sent.tokens, source, [lineno] * len(sent.tokens))
-            if not cue:
-                raise ParseError("replacement instance has no cue cell", source, lineno)
-            replacements.append(NegationInstance(cue, scope, event))
-        else:
-            raise ParseError(f"unknown patch directive {cols[0]!r}", source, lineno)
-    flush()
+    for first_line, lines in _blocks(text):
+        for lineno, line in enumerate(lines, first_line):
+            if line.lstrip().startswith("#"):
+                continue
+            cols = line.split("\t")
+            if cols[0] == "target":
+                flush()
+                if len(cols) != 4:
+                    raise ParseError("target line needs doc_id, sent_index, instance_id", source, lineno)
+                try:
+                    target = (cols[1], int(cols[2]), int(cols[3]))
+                except ValueError:
+                    raise ParseError("sent_index and instance_id must be integers", source, lineno) from None
+                target_line = lineno
+                if (target[0], target[1]) not in sentences:
+                    raise ParseError(f"unknown sentence {target[0]}#{target[1]}", source, lineno)
+            elif cols[0] == "replace":
+                if target is None:
+                    raise ParseError("replace line before any target line", source, lineno)
+                sent = sentences[(target[0], target[1])]
+                cells = cols[1:]
+                if len(cells) != 3 * len(sent.tokens):
+                    raise ParseError(
+                        f"expected {3 * len(sent.tokens)} cells (3 per token), found {len(cells)}",
+                        source,
+                        lineno,
+                    )
+                columns = [cells[0::3], cells[1::3], cells[2::3]]
+                cue, scope, event = _cell_sets(columns, sent.tokens, source, [lineno] * len(sent.tokens))
+                if not cue:
+                    raise ParseError("replacement instance has no cue cell", source, lineno)
+                replacements.append(NegationInstance(cue, scope, event))
+            else:
+                raise ParseError(f"unknown patch directive {cols[0]!r}", source, lineno)
+        flush()
     return patches
 
 
 def format_patch_file(corpus: Corpus, patches: list[ReannotationPatch]) -> str:
     """Render patches in the line-oriented patch format.  Raises
-    :class:`UsageError` for the cells that ``write_sem_conll`` refuses."""
+    :class:`UsageError` for the document ids and cells that
+    ``write_sem_conll`` refuses."""
     sentences = {s.key: s for s in corpus.sentences}
     blocks = []
     for patch in patches:
         sent = sentences.get((patch.doc_id, patch.sent_index))
         if sent is None:
             raise PatchError(f"patch targets unknown sentence {patch.doc_id}#{patch.sent_index}")
+        _check_doc_id(sent)
         lines = [f"target\t{patch.doc_id}\t{patch.sent_index}\t{patch.instance_id}"]
         columns = _cell_columns(sent, patch.replacement)
         for k in range(0, len(columns), 3):

@@ -340,7 +340,7 @@ def decode_corpus(text: str, kind: EncodingKind, source: str = "<string>", name:
         try:
             instances = tuple(decode(graph, kind))
         except GraphError as exc:
-            raise GraphError(f"{source}:{first_line}: {exc}") from None
+            raise GraphError(str(exc), source, first_line) from None
         sentences.append(
             Sentence(doc_id=doc_id, sent_index=sent_index, tokens=tokens, instances=instances)
         )

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 
 class NegevalError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class ParseError(NegevalError):
-    """A corpus file could not be parsed.
+    """Base class for all errors raised by this package.
 
     Carries the source name and line number when known so that command-line
     messages can point at the offending input.
@@ -21,6 +17,10 @@ class ParseError(NegevalError):
         if source is not None:
             prefix = source if line is None else f"{source}:{line}"
         super().__init__(f"{prefix}: {message}" if prefix else message)
+
+
+class ParseError(NegevalError):
+    """A corpus file could not be parsed."""
 
 
 class AlignmentError(NegevalError):

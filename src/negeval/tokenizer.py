@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .conll import _decode
+from .conll import _blocks, _decode
 from .errors import ParseError
 
 DEFAULT_URL_PATTERN = r"(?:https?|ftp)://\S+|www\.\S+"
@@ -54,26 +54,27 @@ def _parse_rules(text: str, source: str) -> TokenizerConfig:
     internal = DEFAULT_WORD_INTERNAL
     abbrevs: set[str] = set()
     saw_abbrev = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(" ")
-        value = value.strip()
-        if key == "url":
-            try:
-                re.compile(value)
-            except re.error as exc:
-                message = f"url pattern {value!r} does not compile: {exc}"
-                raise ParseError(message, source, lineno) from None
-            url = value
-        elif key == "internal":
-            internal = value
-        elif key == "abbrev":
-            abbrevs.add(value)
-            saw_abbrev = True
-        else:
-            raise ParseError(f"unknown tokenizer rule {key!r}", source, lineno)
+    for first_line, lines in _blocks(text):
+        for lineno, raw in enumerate(lines, first_line):
+            line = raw.strip()
+            if line.startswith("#"):
+                continue
+            key, _, value = line.partition(" ")
+            value = value.strip()
+            if key == "url":
+                try:
+                    re.compile(value)
+                except re.error as exc:
+                    message = f"url pattern {value!r} does not compile: {exc}"
+                    raise ParseError(message, source, lineno) from None
+                url = value
+            elif key == "internal":
+                internal = value
+            elif key == "abbrev":
+                abbrevs.add(value)
+                saw_abbrev = True
+            else:
+                raise ParseError(f"unknown tokenizer rule {key!r}", source, lineno)
     return TokenizerConfig(
         url_pattern=url,
         word_internal=internal,
@@ -90,70 +91,40 @@ class CharSpan:
     end: int
 
 
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+#: The whitespace-free chunks of a text; ``\s`` is ``str.isspace``.
+_CHUNKS = re.compile(r"\S+")
+
+
+def _pieces(word_internal: str) -> re.Pattern:
+    r"""The pattern of a chunk's tokens: a word run, which keeps each of
+    ``word_internal`` that stands between two word characters, or a run of
+    one repeated other character.  ``\w`` is ``str.isalnum()`` or ``_``."""
+    internal = f"(?:[{re.escape(word_internal)}]\\w+)*" if word_internal else ""
+    return re.compile(rf"\w+{internal}|(\W)\1*")
 
 
 def tokenize(text: str, config: TokenizerConfig | None = None) -> list[CharSpan]:
     """Split ``text`` deterministically into offset-carrying tokens."""
     config = config or TokenizerConfig()
     url_re = re.compile(config.url_pattern)
-    internal = set(config.word_internal)
+    pieces = _pieces(config.word_internal)
     spans: list[CharSpan] = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
+    for chunk in _CHUNKS.finditer(text):
+        start, end = chunk.span()
+        # A URL ends at the chunk's end at the latest, without its trailing
+        # punctuation; the rest of the chunk may start another.
+        while start < end and (match := url_re.match(text, start)) and match.end() > start:
+            url_end = min(match.end(), end)
+            while url_end > start + 1 and text[url_end - 1] in _URL_TRAIL:
+                url_end -= 1
+            spans.append(CharSpan(text[start:url_end], start, url_end))
+            start = url_end
+        if start == end:
             continue
-        match = url_re.match(text, i)
-        if match and match.end() > i:
-            end = match.end()
-            while end > i + 1 and text[end - 1] in _URL_TRAIL:
-                end -= 1
-            spans.append(CharSpan(text[i:end], i, end))
-            i = end
+        rest = text[start:end]
+        if rest in config.abbreviations:
+            spans.append(CharSpan(rest, start, end))
             continue
-        # Maximal non-space chunk starting here.
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        chunk = text[i:j]
-        if chunk in config.abbreviations:
-            spans.append(CharSpan(chunk, i, j))
-            i = j
-            continue
-        spans.extend(_split_chunk(chunk, i, internal))
-        i = j
-    return spans
-
-
-def _split_chunk(chunk: str, offset: int, internal: set[str]) -> list[CharSpan]:
-    """Char-class state machine over one whitespace-free chunk.
-
-    Word runs stay together; a punctuation run is one token per maximal run
-    of the *same* character ("..." is one token, ")," is two).
-    """
-    spans: list[CharSpan] = []
-    k = 0
-    n = len(chunk)
-    while k < n:
-        ch = chunk[k]
-        if _is_word_char(ch):
-            end = k + 1
-            while end < n:
-                nxt = chunk[end]
-                if _is_word_char(nxt):
-                    end += 1
-                elif nxt in internal and end + 1 < n and _is_word_char(chunk[end + 1]):
-                    end += 2
-                else:
-                    break
-            spans.append(CharSpan(chunk[k:end], offset + k, offset + end))
-            k = end
-        else:
-            end = k + 1
-            while end < n and chunk[end] == ch:
-                end += 1
-            spans.append(CharSpan(chunk[k:end], offset + k, offset + end))
-            k = end
+        for piece in pieces.finditer(text, start, end):
+            spans.append(CharSpan(piece[0], piece.start(), piece.end()))
     return spans

@@ -594,3 +594,86 @@ def test_dep_decode_takes_no_input_options(capsys, tmp_path, option):
     path.write_text("#doc d\n#sent 0\n1\tx\t_\n", encoding="utf-8")
     code, out, _ = run(capsys, "dep-decode", str(path), *option)
     assert (code, out) == (EXIT_USAGE, "")
+
+
+def _split_with_assignment(capsys, tmp_path, corpus_text, assignment_text):
+    corpus, assignment = tmp_path / "c.conll", tmp_path / "a.tsv"
+    corpus.write_text(corpus_text, encoding="utf-8", newline="")
+    assignment.write_text(assignment_text, encoding="utf-8", newline="")
+    code, out, err = run(
+        capsys, "split", str(corpus), "--assignment", str(assignment), "--output-prefix", str(tmp_path / "p")
+    )
+    return code, out, err, assignment
+
+
+def test_split_refuses_a_document_assigned_twice(capsys, tmp_path):
+    code, out, err, assignment = _split_with_assignment(
+        capsys, tmp_path, "c\t0\t0\tx\tx\tNN\t_\t***\n", "c\ttrain\n# the same document\nc\ttest\n"
+    )
+    assert (code, out) == (EXIT_SPLIT, "")
+    assert err == f"negeval: split-error: {assignment}:3: document 'c' is assigned twice\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.tsv", "c.conll"]
+
+
+def test_split_names_the_assignment_file_and_line(capsys, tmp_path):
+    code, out, err, assignment = _split_with_assignment(
+        capsys, tmp_path, "c\t0\t0\tx\tx\tNN\t_\t***\n", "\nc\ttrain\textra\n"
+    )
+    assert (code, out) == (EXIT_SPLIT, "")
+    assert err == f"negeval: split-error: {assignment}:2: expected 'doc_id<TAB>part', got 'c\\ttrain\\textra'\n"
+
+
+def test_split_assignment_reads_lines_as_the_corpus_reader_does(capsys, tmp_path):
+    # "\x85" ends a line for str.splitlines, but not in a CoNLL file
+    code, _, err, _ = _split_with_assignment(
+        capsys, tmp_path, "a\x85b\t0\t0\tx\tx\tNN\t_\t***\n", "a\x85b\ttest\r\n \n"
+    )
+    assert code == EXIT_OK
+    assert err.splitlines()[-1].endswith("p.test.conll (1 sentences)")
+    assert load_sem_conll(tmp_path / "p.test.conll").sentences[0].doc_id == "a\x85b"
+
+
+@pytest.mark.parametrize("ratios, shown", [("50/50", "(50, 50)"), ("60/20/10/10", "(60, 20, 10, 10)")])
+def test_split_ratios_need_three_parts(capsys, tmp_path, ratios, shown):
+    code, out, err = run(capsys, "split", GOLD, "--ratios", ratios, "--output-prefix", str(tmp_path / "p"))
+    assert (code, out) == (EXIT_SPLIT, "")
+    assert err == f"negeval: split-error: split ratios must have three parts, got {shown}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["convert", "dep-encode", "detect-coord"])
+def test_writers_refuse_a_tab_in_the_document_id(capsys, tmp_path, command):
+    xml = tmp_path / "t.xml"
+    xml.write_text(
+        "<Document><DocumentID>A&#9;B</DocumentID><sentence id='s'><xcope id='X1'>"
+        "<cue type='negation' ref='X1'>neither</cue> Mary <cue type='negation' ref='X1'>nor</cue> Sam"
+        "</xcope> came.</sentence></Document>",
+        encoding="utf-8",
+    )
+    out_path = tmp_path / "t.out"
+    code, out, err = run(capsys, command, str(xml), "--format", "bioscope", "-o", str(out_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "negeval: usage-error: cannot write sentence ('A\\tB', 0): its document id holds a tab, "
+        "line feed or carriage return\n"
+    )
+    assert not out_path.exists()
+
+
+def test_main_runs_alike_with_the_cached_parser(capsys):
+    from negeval.cli import build_parser
+
+    calls = [
+        ["stats", GOLD],
+        ["evaluate", "--gold", GOLD, "--pred", SYS_A, "--out", "tsv"],
+        ["evaluate", "--gold", GOLD],  # --pred is missing
+        ["--version"],
+        ["stats", GOLD, "--format", "conll"],
+    ]
+    cached = [(main(argv), *capsys.readouterr()) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append((main(argv), *capsys.readouterr()))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]

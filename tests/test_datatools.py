@@ -91,6 +91,30 @@ class TestSplit:
         text = "# comment\ndoc0\ttrain\ndoc1\tdev\n"
         assert parse_assignment(text) == {"doc0": "train", "doc1": "dev"}
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("doc0\ttrain\n\nbad\n", "a.tsv:3: expected 'doc_id<TAB>part', got 'bad'"),
+            ("doc0\ttrain\ndoc1\tdev\ndoc0\ttrain\n", "a.tsv:3: document 'doc0' is assigned twice"),
+        ],
+    )
+    def test_parse_assignment_names_the_file_and_line(self, text, message):
+        with pytest.raises(SplitError) as err:
+            parse_assignment(text, source="a.tsv")
+        assert str(err.value) == message
+        assert (err.value.source, err.value.line) == ("a.tsv", 3)
+
+    def test_parse_assignment_follows_the_conll_line_rule(self):
+        # lines end at line feeds only; a whitespace-only line is blank
+        text = "a\x85b\ttest\r\n \t\r\nc\u2028d\tdev\n"
+        assert parse_assignment(text) == {"a\x85b": "test", "c\u2028d": "dev"}
+
+    @pytest.mark.parametrize("ratios", [(100,), (50, 50), (60, 20, 10, 10)])
+    def test_ratios_must_have_three_parts(self, ratios):
+        with pytest.raises(SplitError) as err:
+            SplitSpec(ratios=ratios)
+        assert str(err.value) == f"split ratios must have three parts, got {ratios}"
+
 
 class TestStats:
     def test_empty_corpus(self):
@@ -224,6 +248,33 @@ class TestPatchFile:
         text = "target\tcd\t99\t0\nreplace\t" + "\t".join(["_"] * 18) + "\n"
         with pytest.raises(ParseError):
             parse_patch_file(text, corpus)
+
+
+    _CELLS = "\t".join(["Neither", "_", "_", "_", "Mary", "_"] + ["_", "_", "_"] * 4)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a whitespace-only line ends a block; a comment line does not
+            ("target\tcd\t7\t0\n# note\n\t \r\ntarget\tcd\t7\t1\n", "p:1: patch block without replace lines"),
+            (f"target\tcd\t7\t0\r\nreplace\t{_CELLS}\r\n \nreplace\t{_CELLS}\n", "p:4: replace line before any target line"),
+            (f"target\tcd\t7\t0\nreplace\t{_CELLS}\ntarget\tcd\t7\t1\n", "p:3: patch block without replace lines"),
+            (f"\n\ntarget\tcd\t7\t0\nreplace\t{_CELLS}\nretarget\n", "p:5: unknown patch directive 'retarget'"),
+        ],
+    )
+    def test_errors_name_their_line(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_patch_file(text, Corpus((coordination_sentence(),)), source="p")
+        assert str(err.value) == message
+
+    def test_blocks_end_at_blank_lines(self):
+        corpus = Corpus((coordination_sentence(),))
+        text = (
+            f"# drafts\r\ntarget\tcd\t7\t0\r\nreplace\t{self._CELLS}\r\n\x0c\r\n"
+            f"target\tcd\t7\t1\nreplace\t{self._CELLS}\nreplace\t{self._CELLS}\n"
+        )
+        patches = parse_patch_file(text, corpus)
+        assert [(p.target, len(p.replacement)) for p in patches] == [(("cd", 7, 0), 1), (("cd", 7, 1), 2)]
 
 
 def instance_sets(inst):

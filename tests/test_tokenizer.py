@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import fixture_path
-from negeval import TokenizerConfig, tokenize
+from negeval import ParseError, TokenizerConfig, tokenize
 
 
 def surfaces(text, config=None):
@@ -72,3 +73,40 @@ def test_tokens_partition_non_whitespace(text):
     assert tail.strip() == ""
     rebuilt.append(tail)
     assert "".join(rebuilt) == text
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("x² ٣٤.٥ Ⅻ.", [("x²", 0, 2), ("٣٤.٥", 3, 7), ("Ⅻ", 8, 9), (".", 9, 10)]),
+        # a combining mark is no word character
+        ("cafe\u0301-bar", [("cafe", 0, 4), ("\u0301", 4, 5), ("-", 5, 6), ("bar", 6, 9)]),
+        ("a_b--c IL-2-α.", [("a_b", 0, 3), ("--", 3, 5), ("c", 5, 6), ("IL-2-α", 7, 13), (".", 13, 14)]),
+    ],
+)
+def test_non_ascii_word_runs(text, expected):
+    assert [(s.text, s.start, s.end) for s in tokenize(text)] == expected
+
+
+@pytest.mark.parametrize(
+    "internal, expected",
+    [("", ["a", "-", "b", "]", "c", "\\", "d"]), ("]\\", ["a", "-", "b]c\\d"])],
+)
+def test_word_internal_characters_from_the_config(internal, expected):
+    assert surfaces("a-b]c\\d", TokenizerConfig(word_internal=internal)) == expected
+
+
+def test_url_stays_inside_its_chunk():
+    config = TokenizerConfig(url_pattern=r"go:.*")
+    assert surfaces("go:a b. c", config) == ["go:a", "b", ".", "c"]
+
+
+def test_rule_lines_end_at_line_feeds_only(tmp_path):
+    # "\x0c" ends a line for str.splitlines, but not in any negeval input
+    rules = tmp_path / "rules"
+    rules.write_bytes("abbrev Dr.\x0cabbrev Mr.\n\x0c\r\nbogus x\n".encode("utf-8"))
+    with pytest.raises(ParseError) as err:
+        TokenizerConfig.from_file(rules)
+    assert str(err.value) == f"{rules}:3: unknown tokenizer rule 'bogus'"
+    rules.write_bytes("abbrev Dr.\x0cabbrev Mr.\n\x0c\r\n".encode("utf-8"))
+    assert TokenizerConfig.from_file(rules).abbreviations == frozenset({"Dr.\x0cabbrev Mr."})

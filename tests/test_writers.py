@@ -170,7 +170,7 @@ def test_conll_writer_refuses_a_control_character_in_the_document_id(control):
     with pytest.raises(UsageError) as err:
         write_sem_conll(Corpus((_sentence(doc_id=f"d{control}1"),)))
     assert str(err.value) == (
-        f"cannot write sentence ({f'd{control}1'!r}, 4): a cell of token 0 holds a tab, line feed or "
+        f"cannot write sentence ({f'd{control}1'!r}, 4): its document id holds a tab, line feed or "
         "carriage return"
     )
 
