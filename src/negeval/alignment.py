@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import AlignmentError
 from .model import Corpus, NegationInstance, Sentence, _records
@@ -110,10 +111,11 @@ def align(gold: Sentence, pred: Sentence, mode: CueMatchMode = CueMatchMode.EXAC
     )
 
 
-def _sentence_pairs(gold: Corpus, pred: Corpus) -> list[tuple[Sentence, Sentence]]:
+def _sentence_pairs(gold: Corpus, pred: Corpus) -> Iterator[tuple[Sentence, Sentence]]:
     """Gold and predicted sentences paired by key, in gold corpus order: the one
-    place where corpora are paired.  Raises :class:`AlignmentError` when either
-    corpus repeats a sentence key or a key is missing on either side."""
+    place where corpora are paired.  Raises :class:`AlignmentError` before the
+    first pair when either corpus repeats a sentence key or a key is missing on
+    either side, and on reaching a pair whose token surfaces differ."""
     gold_by_key = {s.key: s for s in gold.sentences}
     pred_by_key = {s.key: s for s in pred.sentences}
     for side, corpus, by_key in (("gold", gold, gold_by_key), ("predictions", pred, pred_by_key)):
@@ -129,7 +131,10 @@ def _sentence_pairs(gold: Corpus, pred: Corpus) -> list[tuple[Sentence, Sentence
         if missing_in_gold:
             parts.append(f"missing from gold: {missing_in_gold[:5]}")
         raise AlignmentError("sentence sets differ; " + "; ".join(parts))
-    return [(s, pred_by_key[key]) for key, s in gold_by_key.items()]
+    for key, g_sent in gold_by_key.items():
+        p_sent = pred_by_key[key]
+        _check_tokens(g_sent, p_sent)
+        yield g_sent, p_sent
 
 
 def align_corpus(

@@ -21,8 +21,8 @@ from .model import (
     NegationInstance,
     Sentence,
     Token,
+    _tokens,
     element_for,
-    is_punct_surface,
     renumber,
 )
 from .tokenizer import CharSpan, TokenizerConfig, tokenize
@@ -113,10 +113,7 @@ def _parse_sentence(
     walk(sent_el)
     text = "".join(text_parts)
     spans = tokenize(text, tokenizer)
-    tokens = tuple(
-        Token(index=i, surface=s.text, is_punct=is_punct_surface(s.text))
-        for i, s in enumerate(spans)
-    )
+    tokens = _tokens([s.text for s in spans])
     where = f"{doc_id} sentence {sent_el.get('id', sent_index)}"
 
     by_ref: dict[str, list[tuple[int, int]]] = {}

@@ -16,16 +16,7 @@ import operator
 from typing import IO, Iterator, Sequence
 
 from .errors import ParseError, UsageError
-from .model import (
-    DEFAULT_PUNCT_POS,
-    AnnotationElement,
-    Corpus,
-    NegationInstance,
-    Sentence,
-    Token,
-    detect_punct,
-    element_for,
-)
+from .model import AnnotationElement, Corpus, NegationInstance, Sentence, Token, _punct_flags, element_for
 
 _FIXED_COLUMNS = 7
 _NO_NEG = "***"
@@ -79,7 +70,6 @@ def parse_sem_conll(
     data: str | bytes | IO,
     name: str = "",
     source: str = "<string>",
-    punct_pos: frozenset[str] = DEFAULT_PUNCT_POS,
     *,
     tokens_from: Corpus | None = None,
 ) -> Corpus:
@@ -96,10 +86,7 @@ def parse_sem_conll(
     """
     text = _decode(data, source)
     known = {} if tokens_from is None else {s.key: s.tokens for s in tokens_from.sentences}
-    sentences = [
-        _parse_sentence(lines, first_line, source, punct_pos, known)
-        for first_line, lines in _blocks(text)
-    ]
+    sentences = [_parse_sentence(lines, first_line, source, known) for first_line, lines in _blocks(text)]
     _check_keys(sentences, source, text)
     return Corpus(tuple(sentences), name=name)
 
@@ -132,7 +119,6 @@ def _parse_sentence(
     lines: list[str],
     first_line: int,
     source: str,
-    punct_pos: frozenset[str],
     known: dict[tuple[str, int], tuple[Token, ...]],
 ) -> Sentence:
     # Tab-separated is canonical; fall back to whitespace runs for
@@ -179,12 +165,8 @@ def _parse_sentence(
         )
     ):
         _check_rows(rows, width, has_negation, source, first_line)
-    lemmas, tag_column = _optional(cells[4::width]), cells[5::width]
-    tags = _optional(tag_column)
-    if tags is tag_column:  # every token has a tag, so the tag decides
-        puncts = list(map(punct_pos.__contains__, tags))
-    else:
-        puncts = list(map(detect_punct, surfaces, tags, itertools.repeat(punct_pos, n)))
+    lemmas, tags = _optional(cells[4::width]), _optional(cells[5::width])
+    puncts = _punct_flags(surfaces, tags)
     tokens = known.get((doc_id, sent_no))
     if tokens is None or list(map(_token_fields, tokens)) != list(
         zip(range(n), surfaces, lemmas, tags, puncts)
@@ -374,19 +356,12 @@ def _check_token_rows(sent: Sentence, rows: list[str], tabs: int) -> None:
             )
 
 
-def load_sem_conll(
-    path,
-    name: str | None = None,
-    punct_pos: frozenset[str] = DEFAULT_PUNCT_POS,
-    *,
-    tokens_from: Corpus | None = None,
-) -> Corpus:
+def load_sem_conll(path, name: str | None = None, *, tokens_from: Corpus | None = None) -> Corpus:
     with open(path, "rb") as handle:
         return parse_sem_conll(
             handle,
             name=name if name is not None else str(path),
             source=str(path),
-            punct_pos=punct_pos,
             tokens_from=tokens_from,
         )
 

@@ -26,13 +26,7 @@ from dataclasses import dataclass, field, replace
 
 from .conll import _blocks, _cell_columns, _cell_sets, _check_doc_id, _check_token_rows
 from .errors import ParseError, PatchError, SplitError
-from .model import (
-    Corpus,
-    NegationInstance,
-    Sentence,
-    renumber,
-    strip_punctuation,
-)
+from .model import Corpus, NegationInstance, Sentence, _punct_indices, _records, renumber
 
 PARTS = ("train", "dev", "test")
 
@@ -57,14 +51,16 @@ class SplitSpec:
 
 
 def parse_assignment(text: str, source: str = "<string>") -> dict[str, str]:
-    """Parse a ``doc_id<TAB>part`` assignment file.  Raises
-    :class:`SplitError`, with its line, for a line without two fields and
-    for a document that an earlier line assigns."""
+    """Parse a ``doc_id<TAB>part`` assignment file.  A line whose first
+    non-blank character is ``#`` and that holds no tab is a comment, so a
+    document id may start with ``#``.  Raises :class:`SplitError`, with its
+    line, for a line without two fields and for a document that an earlier
+    line assigns."""
     assignment: dict[str, str] = {}
     for first_line, lines in _blocks(text):
         for lineno, raw in enumerate(lines, first_line):
             line = raw.strip()
-            if line.startswith("#"):
+            if line.startswith("#") and "\t" not in line:
                 continue
             parts = line.split("\t") if "\t" in line else line.split()
             if len(parts) != 2:
@@ -142,21 +138,20 @@ class CorpusStats:
 def corpus_stats(corpus: Corpus) -> CorpusStats:
     """Sentence/instance counts and the scope-length histogram.
 
-    Scope lengths are measured after punctuation stripping, matching how the
-    evaluation sees the data.
+    Instances and scope lengths are counted after punctuation stripping,
+    matching how the evaluation sees the data.
     """
-    stripped = strip_punctuation(corpus)
     histogram: Counter[int] = Counter()
     instances = 0
     negation_sentences = 0
-    for sent in stripped.sentences:
-        if sent.instances:
+    for sent in corpus.sentences:
+        records = _records(sent, _punct_indices(sent.tokens))
+        if records:
             negation_sentences += 1
-        for inst in sent.instances:
-            instances += 1
-            histogram[len(inst.scope)] += 1
+        instances += len(records)
+        histogram.update(len(scope) for *_, scope in records)
     return CorpusStats(
-        sentences=len(stripped.sentences),
+        sentences=len(corpus.sentences),
         negation_sentences=negation_sentences,
         instances=instances,
         scope_length_histogram=dict(histogram),

@@ -25,19 +25,10 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 
 from .conll import _blocks, _check_block, _check_keys
 from .errors import GraphError, ParseError
-from .model import (
-    Corpus,
-    Diagnostic,
-    NegationInstance,
-    Sentence,
-    Token,
-    _whole_token,
-    is_punct_surface,
-)
+from .model import Corpus, Diagnostic, NegationInstance, Sentence, _tokens, _whole_token
 
 LABEL_CUE = "CUE"
 LABEL_SCOPE = "S"
@@ -185,30 +176,42 @@ def _decodes_to(graph: NegDepGraph, insts: list[tuple[frozenset[int], ...]]) -> 
     return Counter(map(_token_sets, decoded)) == Counter(insts)
 
 
+def _row_order(edge: Edge) -> tuple[int, int, str]:
+    """Sort key of ``edge`` as written: by dependent, then head with the root
+    first, then label."""
+    return (edge.dependent, -1 if edge.head is None else edge.head, edge.label)
+
+
 def decode(graph: NegDepGraph, kind: EncodingKind) -> list[NegationInstance]:
     """Rebuild whole-token instances from a graph.
 
-    Raises :class:`GraphError` for S/E/MWC edges whose head carries no CUE
-    edge and for cycles in the nesting relation of a nested graph.
+    Raises :class:`GraphError` for a root edge other than CUE, a CUE edge
+    off the root, other edges whose head carries no CUE edge, an unknown
+    label and cycles in the nesting relation of a nested graph.  Edges are
+    checked in the order in which ``format_graph`` writes them, so the first
+    fault reported does not depend on set order.
     """
     if not graph.edges:
         return []
     reps = sorted(e.dependent for e in graph.edges if e.head is None and e.label == LABEL_CUE)
-    rep_set = set(reps)
-    for edge in graph.edges:
+    cue_tokens = {r: {r} for r in reps}
+    direct_scope: dict[int, set[int]] = {r: set() for r in reps}
+    events: dict[int, set[int]] = {r: set() for r in reps}
+    by_label = {LABEL_MULTIWORD: cue_tokens, LABEL_SCOPE: direct_scope, LABEL_EVENT: events}
+    for edge in sorted(graph.edges, key=_row_order):
         if edge.head is None:
             if edge.label != LABEL_CUE:
                 raise GraphError(f"root edge with label {edge.label!r}; only CUE may attach to root")
         elif edge.label == LABEL_CUE:
             raise GraphError(f"CUE edge with head {edge.head}; cues attach to the root only")
-        elif edge.head not in rep_set:
+        elif edge.head not in cue_tokens:
             raise GraphError(
                 f"{edge.label} edge from token {edge.head}, which carries no CUE edge"
             )
-
-    cue_tokens = {r: {r} | set(graph.dependents(r, LABEL_MULTIWORD)) for r in reps}
-    direct_scope = {r: set(graph.dependents(r, LABEL_SCOPE)) for r in reps}
-    events = {r: set(graph.dependents(r, LABEL_EVENT)) for r in reps}
+        elif edge.label not in by_label:
+            raise GraphError(f"edge with unknown label {edge.label!r}")
+        else:
+            by_label[edge.label][edge.head].add(edge.dependent)
 
     if kind is EncodingKind.NESTED:
         expanded: dict[int, set[int]] = {}
@@ -220,7 +223,7 @@ def decode(graph: NegDepGraph, kind: EncodingKind) -> list[NegationInstance]:
                 return expanded[r]
             scope = set(direct_scope[r])
             for d in direct_scope[r]:
-                if d in rep_set and d != r:
+                if d in cue_tokens and d != r:
                     scope |= cue_tokens[d]
                     scope |= expand(d, stack + (r,))
             expanded[r] = scope
@@ -234,9 +237,9 @@ def decode(graph: NegDepGraph, kind: EncodingKind) -> list[NegationInstance]:
     for k, r in enumerate(reps):
         instances.append(
             NegationInstance(
-                cue=frozenset(map(_whole_token, sorted(cue_tokens[r]))),
-                scope=frozenset(map(_whole_token, sorted(scope_of[r]))),
-                event=frozenset(map(_whole_token, sorted(events[r]))),
+                cue=frozenset(map(_whole_token, cue_tokens[r])),
+                scope=frozenset(map(_whole_token, scope_of[r])),
+                event=frozenset(map(_whole_token, events[r])),
                 instance_id=k,
             )
         )
@@ -333,16 +336,12 @@ def decode_corpus(text: str, kind: EncodingKind, source: str = "<string>", name:
     sentences = []
     for first_line, lines in _blocks(text):
         doc_id, sent_index, surfaces, graph = _parse_graph_block(lines, first_line, source)
-        n = len(surfaces)
-        tokens = tuple(
-            map(Token, range(n), surfaces, repeat(None, n), repeat(None, n), map(is_punct_surface, surfaces))
-        )
         try:
             instances = tuple(decode(graph, kind))
         except GraphError as exc:
             raise GraphError(str(exc), source, first_line) from None
         sentences.append(
-            Sentence(doc_id=doc_id, sent_index=sent_index, tokens=tokens, instances=instances)
+            Sentence(doc_id=doc_id, sent_index=sent_index, tokens=_tokens(surfaces), instances=instances)
         )
     _check_keys(sentences, source, text)
     return Corpus(tuple(sentences), name=name)

@@ -343,7 +343,8 @@ def correct_sentence_ratio(
     penalises spurious predictions in negation-free sentences.  Events are
     ignored; instances compare as (cue set, scope set) multisets.  Raises
     :class:`AlignmentError`, as ``align_corpus`` does, when either corpus
-    repeats a sentence key or a key is missing on either side.
+    repeats a sentence key, a key is missing on either side or a pair's
+    token surfaces differ.
     """
     tally = _Tally()
     for sent, pred_sent in _sentence_pairs(gold, pred):

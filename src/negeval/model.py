@@ -19,12 +19,13 @@ import logging
 import operator
 import unicodedata
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 logger = logging.getLogger(__name__)
 
-#: POS tags treated as punctuation by default (PTB-style tags used by the
-#: CoNLL negation data, plus the UD "PUNCT" tag).
+#: POS tags of punctuation (PTB-style tags used by the CoNLL negation data,
+#: plus the UD "PUNCT" tag).
 DEFAULT_PUNCT_POS = frozenset(
     {",", ".", ":", "``", "''", "`", "'", "(", ")", "-LRB-", "-RRB-", "HYPH", "NFP", "PUNCT"}
 )
@@ -36,18 +37,6 @@ def is_punct_surface(surface: str) -> bool:
     if surface.isalnum():
         return False
     return bool(surface) and all(unicodedata.category(ch).startswith("P") for ch in surface)
-
-
-def detect_punct(surface: str, pos: str | None, punct_pos: frozenset[str] = DEFAULT_PUNCT_POS) -> bool:
-    """Decide whether a token is punctuation.
-
-    With a POS tag available the decision is by tag membership; without one
-    (XML corpora carry no tags) it falls back to the Unicode character
-    categories of the surface form.
-    """
-    if pos is not None:
-        return pos in punct_pos
-    return is_punct_surface(surface)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -80,6 +69,28 @@ class Token:
 _set_index, _set_surface, _set_lemma, _set_pos, _set_is_punct = (
     Token.__dict__[name].__set__ for name in ("index", "surface", "lemma", "pos", "is_punct")
 )
+
+
+def _punct_flags(surfaces: Sequence[str], tags: Sequence[str | None] | None = None) -> list[bool]:
+    """Whether each token is punctuation: the one place of the rule.
+
+    A token with a POS tag is punctuation when the tag is in
+    ``DEFAULT_PUNCT_POS``.  A token without one (XML and graph corpora carry
+    no tags, CoNLL writes ``_``) is punctuation when its surface is.
+    """
+    if tags is None:
+        return list(map(is_punct_surface, surfaces))
+    if None not in tags:
+        return list(map(DEFAULT_PUNCT_POS.__contains__, tags))
+    return [is_punct_surface(s) if t is None else t in DEFAULT_PUNCT_POS for s, t in zip(surfaces, tags)]
+
+
+def _tokens(surfaces: Sequence[str]) -> tuple[Token, ...]:
+    """Tokens numbered from 0, without lemma or tag, for the readers of
+    untagged formats."""
+    n = len(surfaces)
+    # from a list, the tuple is allocated at its exact size
+    return tuple(list(map(Token, range(n), surfaces, repeat(None, n), repeat(None, n), _punct_flags(surfaces))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,6 +328,11 @@ def strip_punctuation(corpus: Corpus) -> Corpus:
     return replace(corpus, sentences=tuple(out_sentences))
 
 
+def _element_order(element: AnnotationElement) -> tuple[int, bool, str]:
+    """Sort key of ``element``: by token index, then whole token first, then text."""
+    return (element.token_index, element.text is not None, element.text or "")
+
+
 def validate(corpus: Corpus) -> list[Diagnostic]:
     """Check every model invariant and return the violations found.
 
@@ -355,7 +371,8 @@ def validate(corpus: Corpus) -> list[Diagnostic]:
                 diags.append(
                     Diagnostic("error", "empty-cue", "instance has no cue elements", *sent.key, inst.instance_id)
                 )
-            for element in (*inst.cue, *inst.scope, *inst.event):
+            # sorted, so that the order of the findings does not follow the hash
+            for element in sorted((*inst.cue, *inst.scope, *inst.event), key=_element_order):
                 if not 0 <= element.token_index < n:
                     diags.append(
                         Diagnostic(

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .alignment import CueMatchMode, _check_tokens, _match, _sentence_pairs
+from .alignment import CueMatchMode, _match, _sentence_pairs
+from .errors import UsageError
 from .metrics import EXACT_SCORER, PRF, TOKEN_SCORER, SentenceAccuracy, _Tally, percent
 from .model import Corpus, _gc_paused, _punct_indices, _records
 
@@ -88,10 +89,11 @@ class MetricReport:
         return ordered
 
     def select(self, keys) -> "MetricReport":
-        """A copy restricted to the named metrics (CNS is always kept)."""
+        """A copy restricted to the named metrics (CNS is always kept).
+        Raises :class:`UsageError` for a name that is not a metric."""
         unknown = sorted(set(keys) - set(self.metrics))
         if unknown:
-            raise KeyError(f"unknown metrics: {unknown}; known: {sorted(self.metrics)}")
+            raise UsageError(f"unknown metrics: {unknown}; known: {sorted(self.metrics)}")
         return MetricReport(
             metrics={k: self.metrics[k] for k in self._keys() if k in set(keys)},
             sentence_accuracy=self.sentence_accuracy,
@@ -203,15 +205,15 @@ class MetricReport:
 def _count(gold: Corpus, pred: Corpus, keep_punct: bool, cns_all_sentences: bool) -> _Tally:
     """Every count of a report, in one walk over the paired sentences.
 
-    Each pair is checked, turned into records (stripped unless
-    ``keep_punct``, as ``strip_punctuation`` would strip it), sorted once and
-    matched in both cue-match modes, as ``align_corpus`` would match it, and
-    its counts go straight to the tally.  No instance is rebuilt.
+    Each pair, checked by ``_sentence_pairs``, is turned into records
+    (stripped unless ``keep_punct``, as ``strip_punctuation`` would strip it),
+    sorted once and matched in both cue-match modes, as ``align_corpus``
+    would match it, and its counts go straight to the tally.  No instance is
+    rebuilt.
     """
     tally = _Tally((TOKEN_SCORER, EXACT_SCORER))
     exact, partial = CueMatchMode.EXACT, CueMatchMode.PARTIAL
     for g_sent, p_sent in _sentence_pairs(gold, pred):
-        _check_tokens(g_sent, p_sent)
         if not (g_sent.instances or p_sent.instances):
             tally.add_sentence((), (), cns_all_sentences)
             continue

@@ -17,14 +17,7 @@ from typing import IO
 
 from .conll import _decode
 from .errors import ParseError
-from .model import (
-    Corpus,
-    NegationInstance,
-    Sentence,
-    Token,
-    element_for,
-    is_punct_surface,
-)
+from .model import Corpus, NegationInstance, Sentence, _tokens, element_for
 
 _NEGATION = "negation"
 
@@ -49,7 +42,7 @@ def load_sfu(path) -> Corpus:
 
 
 def _parse_sentence(sent_el: ET.Element, doc_id: str, sent_index: int, source: str) -> Sentence:
-    tokens: list[Token] = []
+    surfaces: list[str] = []
     cue_words: dict[str, list[int]] = {}  # cue ID -> token indices (negation only)
     scope_words: dict[str, list[int]] = {}  # referenced cue ID -> token indices
     where = f"{doc_id} sentence {sent_index}"
@@ -58,9 +51,8 @@ def _parse_sentence(sent_el: ET.Element, doc_id: str, sent_index: int, source: s
         surface = (element.text or "").strip()
         if not surface:
             return None
-        index = len(tokens)
-        tokens.append(Token(index=index, surface=surface, is_punct=is_punct_surface(surface)))
-        return index
+        surfaces.append(surface)
+        return len(surfaces) - 1
 
     def walk(element: ET.Element, cue_ids: tuple[str, ...], scope_ids: tuple[str, ...]) -> None:
         # Stacks, not single ids: a word inside nested xcope markup belongs
@@ -95,12 +87,13 @@ def _parse_sentence(sent_el: ET.Element, doc_id: str, sent_index: int, source: s
         if ref not in _all_cue_ids(sent_el):
             raise ParseError(f"{where}: scope references unknown cue id {ref!r}", source)
 
+    tokens = _tokens(surfaces)
     instances = []
     for k, cue_id in enumerate(sorted(cue_words, key=lambda c: min(cue_words[c]))):
         cue = frozenset(element_for(tokens[i]) for i in cue_words[cue_id])
         scope = frozenset(element_for(tokens[i]) for i in scope_words.get(cue_id, []))
         instances.append(NegationInstance(cue, scope, instance_id=k))
-    return Sentence(doc_id=doc_id, sent_index=sent_index, tokens=tuple(tokens), instances=tuple(instances))
+    return Sentence(doc_id=doc_id, sent_index=sent_index, tokens=tokens, instances=tuple(instances))
 
 
 def _all_cue_ids(sent_el: ET.Element) -> set[str]:

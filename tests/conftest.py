@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import negeval
 from negeval import Corpus, load_sem_conll
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -11,6 +15,19 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def fixture_path(name: str) -> Path:
     return FIXTURES / name
+
+
+def outputs_under_hash_seeds(args: list[str], seeds=range(8)) -> set[tuple[int, str, str]]:
+    """The distinct ``(exit code, stdout, stderr)`` of ``python *args``, run
+    once under each ``PYTHONHASHSEED`` of ``seeds``."""
+    src = str(Path(negeval.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = set()
+    for seed in seeds:
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)}
+        done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+        outputs.add((done.returncode, done.stdout, done.stderr))
+    return outputs
 
 
 @pytest.fixture(scope="session")

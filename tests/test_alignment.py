@@ -89,6 +89,12 @@ def test_token_mismatch_is_an_error():
         align(gold, pred)
 
 
+def test_sentences_with_different_keys_do_not_align():
+    with pytest.raises(AlignmentError) as err:
+        align(sentence(["a"], [], idx=0), sentence(["a"], [], idx=1))
+    assert str(err.value) == "sentence keys differ: ('d', 0) vs ('d', 1)"
+
+
 def test_corpus_sentence_set_mismatch_names_offender():
     gold = Corpus((sentence(["a"], [], idx=0), sentence(["b"], [], idx=1)))
     pred = Corpus((sentence(["a"], [], idx=0),))
@@ -123,6 +129,15 @@ def test_predicted_sentence_missing_from_gold_is_an_error(gold_corpus, system_b,
     extra = replace(system_b.sentences[0], doc_id="elsewhere", instances=())
     with pytest.raises(AlignmentError, match="missing from gold"):
         entry_point(gold_corpus, with_extra_sentence(system_b, extra))
+
+
+@PAIRING_ENTRY_POINTS
+def test_paired_sentences_with_different_tokens_are_an_error(entry_point):
+    gold = Corpus((sentence(["not", "here"], [inst({0})]),))
+    pred = Corpus((sentence(["never", "there", "x"], [inst({0})]),))
+    message = "token sequences differ for sentence ('d', 0): 2 gold vs 3 predicted tokens"
+    with pytest.raises(AlignmentError, match=re.escape(message)):
+        entry_point(gold, pred)
 
 
 def test_empty_corpora_align_to_nothing():

@@ -70,6 +70,11 @@ def test_punctuation_detected_without_pos(corpus):
     assert sent.tokens[-1].is_punct
 
 
+def test_punctuation_by_the_surface_of_each_token():
+    (sent,) = parse_bioscope("<sentence>No \u2014 way</sentence>").sentences
+    assert [(t.surface, t.is_punct) for t in sent.tokens] == [("No", False), ("\u2014", True), ("way", False)]
+
+
 def test_malformed_xml_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_bioscope("<sentence>unclosed <xcope id='x'>...</sentence>")

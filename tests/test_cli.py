@@ -61,6 +61,29 @@ def test_evaluate_json_and_tsv_agree(capsys):
         )
 
 
+def test_evaluate_reports_the_chosen_metrics(capsys):
+    code, out, err = run(capsys, "evaluate", "--gold", GOLD, "--pred", SYS_A, "--metrics", " st, inst_tok,", "--out", "tsv")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.split("\n") == [
+        "# schema_version\t1",
+        "metric\tprecision\trecall\tf1\tpct_p\tpct_r\tpct_f1\tp_num\tp_den\tr_num\tr_den",
+        "st\t0.8095238095238095\t0.8947368421052632\t0.8500000000000001\t81.0\t89.5\t85.0\t17\t21\t17\t19",
+        "inst_tok\t0.6666666666666666\t0.7777777777777777\t0.7179487179487178\t66.7\t77.8\t71.8"
+        "\t2.0\t3\t2.333333333333333\t3",
+        "cns\t0.3333333333333333\t\t\t33.3\t\t\t1\t3\t\t",
+        "",
+    ]
+
+
+def test_evaluate_refuses_an_unknown_metric(capsys):
+    code, out, err = run(capsys, "evaluate", "--gold", GOLD, "--pred", SYS_A, "--metrics", "st,nope")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "negeval: usage-error: unknown metrics: ['nope']; known: ['cues_exact', 'cues_exact_b', "
+        "'cues_partial', 'cues_partial_b', 'inst_ex', 'inst_tok', 'scm', 'scm_b', 'st']\n"
+    )
+
+
 def test_evaluate_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.conll"
     bad.write_text("d\t0\t0\tonly\n", encoding="utf-8")
@@ -638,6 +661,20 @@ def test_split_ratios_need_three_parts(capsys, tmp_path, ratios, shown):
     code, out, err = run(capsys, "split", GOLD, "--ratios", ratios, "--output-prefix", str(tmp_path / "p"))
     assert (code, out) == (EXIT_SPLIT, "")
     assert err == f"negeval: split-error: split ratios must have three parts, got {shown}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_split_checks_the_ratios_before_it_reads_the_input(capsys, tmp_path):
+    missing = tmp_path / "missing.conll"
+    code, out, err = run(capsys, "split", str(missing), "--ratios", "50/50", "--output-prefix", str(tmp_path / "p"))
+    assert (code, out) == (EXIT_SPLIT, "")
+    assert err == "negeval: split-error: split ratios must have three parts, got (50, 50)\n"
+
+
+def test_split_refuses_ratios_that_are_not_numbers(capsys, tmp_path):
+    code, out, err = run(capsys, "split", GOLD, "--ratios", "8o/10/10", "--output-prefix", str(tmp_path / "p"))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "negeval: usage-error: --ratios must look like 80/10/10, got '8o/10/10'\n"
     assert not list(tmp_path.iterdir())
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import fixture_path
-from negeval import ParseError, parse_sem_conll, write_sem_conll
+from negeval import ParseError, dump_sem_conll, parse_sem_conll, write_sem_conll
 from negeval.testing import random_corpus
 
 
@@ -54,6 +54,19 @@ def test_punctuation_flag_from_pos():
     )
     tokens = parse_sem_conll(text).sentences[0].tokens
     assert [t.is_punct for t in tokens] == [False, True]
+
+
+def test_tagged_tokens_go_by_their_tag_and_untagged_ones_by_their_surface():
+    text = "\n".join(
+        [
+            row("d", "0", "0", "x", "_", "PUNCT", "_", "***"),
+            row("d", "0", "1", ".", "_", "NN", "_", "***"),
+            row("d", "0", "2", "!", "_", "_", "_", "***"),
+            row("d", "0", "3", "y", "_", "_", "_", "***"),
+        ]
+    )
+    tokens = parse_sem_conll(text).sentences[0].tokens
+    assert [t.is_punct for t in tokens] == [True, False, True, False]
 
 
 class TestParseErrors:
@@ -108,6 +121,12 @@ def test_write_empty_corpus_is_empty_stream():
 def test_fixture_round_trip_is_byte_identical():
     raw = fixture_path("roundtrip.conll").read_text(encoding="utf-8")
     assert write_sem_conll(parse_sem_conll(raw, name="rt")) == raw
+
+
+def test_dump_writes_what_write_gives(tmp_path):
+    corpus = parse_sem_conll(fixture_path("roundtrip.conll").read_bytes())
+    dump_sem_conll(corpus, tmp_path / "out.conll")
+    assert (tmp_path / "out.conll").read_bytes() == write_sem_conll(corpus).encode("utf-8")
 
 
 def test_affix_round_trip_keeps_substring_text():

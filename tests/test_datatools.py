@@ -104,6 +104,10 @@ class TestSplit:
         assert str(err.value) == message
         assert (err.value.source, err.value.line) == ("a.tsv", 3)
 
+    def test_a_document_id_may_start_with_a_hash(self):
+        text = "  # comment\n#d\ttest\n# another comment\ne\ttrain\n"
+        assert parse_assignment(text) == {"#d": "test", "e": "train"}
+
     def test_parse_assignment_follows_the_conll_line_rule(self):
         # lines end at line feeds only; a whitespace-only line is blank
         text = "a\x85b\ttest\r\n \t\r\nc\u2028d\tdev\n"
@@ -242,6 +246,13 @@ class TestPatchFile:
         text = "target\tcd\t7\t0\nreplace\t_\t_\n"
         with pytest.raises(ParseError):
             parse_patch_file(text, corpus)
+
+    def test_formatting_a_patch_for_an_unknown_sentence_is_a_patch_error(self):
+        corpus = Corpus((coordination_sentence(),))
+        (patch,) = detect_coordination_cues(corpus)
+        with pytest.raises(PatchError) as err:
+            format_patch_file(corpus, [ReannotationPatch("cd", 99, 0, patch.replacement)])
+        assert str(err.value) == "patch targets unknown sentence cd#99"
 
     def test_unknown_sentence_is_a_parse_error(self):
         corpus = Corpus((coordination_sentence(),))

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import outputs_under_hash_seeds
 from negeval import (
     AnnotationElement,
     GraphError,
@@ -135,6 +136,30 @@ def test_decode_rejects_cue_edge_not_on_root():
         decode(graph, EncodingKind.DIRECT)
 
 
+def test_decode_rejects_a_root_edge_other_than_cue():
+    graph = NegDepGraph(2, frozenset({Edge(None, 0, "CUE"), Edge(None, 1, "S")}))
+    with pytest.raises(GraphError) as err:
+        decode(graph, EncodingKind.DIRECT)
+    assert str(err.value) == "root edge with label 'S'; only CUE may attach to root"
+
+
+def test_decode_rejects_an_unknown_label():
+    graph = NegDepGraph(2, frozenset({Edge(None, 0, "CUE"), Edge(0, 1, "X")}))
+    with pytest.raises(GraphError) as err:
+        decode(graph, EncodingKind.DIRECT)
+    assert str(err.value) == "edge with unknown label 'X'"
+
+
+def test_decode_reports_the_first_fault_in_row_order_under_every_hash_seed(tmp_path):
+    # token 1's root S edge comes before token 3's CUE edge with head 1
+    path = tmp_path / "g.graph"
+    path.write_text("#doc d\n#sent 0\n1\tno\t0:S\n2\tway\t3:E\n3\there\t0:CUE|1:CUE\n", encoding="utf-8")
+    outputs = outputs_under_hash_seeds(["-m", "negeval.cli", "dep-decode", str(path)])
+    assert outputs == {
+        (5, "", f"negeval: graph-error: {path}:1: root edge with label 'S'; only CUE may attach to root\n")
+    }
+
+
 def test_decode_rejects_nesting_cycles():
     graph = NegDepGraph(
         4,
@@ -216,6 +241,11 @@ def test_encoding_is_deterministic(nested_corpus):
     sent = nested_corpus.sentences[0]
     for kind in EncodingKind:
         assert encode(sent, kind) == encode(sent, kind)
+
+
+def test_decoded_tokens_are_punctuation_by_their_surface():
+    corpus = decode_corpus("#doc d\n#sent 0\n1\tNo\t0:CUE\n2\t\u2014\t_\n3\tway\t1:S\n", EncodingKind.DIRECT)
+    assert [t.is_punct for t in corpus.sentences[0].tokens] == [False, True, False]
 
 
 class TestSerialization:

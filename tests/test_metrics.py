@@ -288,6 +288,12 @@ class TestCueScores:
         with pytest.raises(UsageError):
             cue_scores(aligned, CueMatchMode.PARTIAL, "b")
 
+    @pytest.mark.parametrize("score", [cue_scores, scope_match])
+    def test_unknown_variant_is_usage_error(self, gold_corpus, score):
+        with pytest.raises(UsageError) as err:
+            score(align_corpus(gold_corpus, gold_corpus), variant="a")
+        assert str(err.value) == "unknown variant 'a'; expected 'standard' or 'b'"
+
 
 class TestCorrectSentences:
     def test_gold_vs_itself(self, gold_corpus):

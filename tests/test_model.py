@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from negeval import (
     AnnotationElement,
     Corpus,
+    Diagnostic,
     NegationInstance,
     Sentence,
     Token,
@@ -20,7 +21,7 @@ from negeval import (
     strip_punctuation,
     validate,
 )
-from conftest import fixture_path
+from conftest import fixture_path, outputs_under_hash_seeds
 from negeval.conll import parse_sem_conll
 from negeval.model import is_punct_surface
 from negeval.testing import random_corpus
@@ -218,6 +219,30 @@ class TestValidate:
         sent = make_sentence(["a"])
         diags = validate(Corpus((sent, sent)))
         assert any(d.code == "duplicate-sentence" for d in diags)
+
+    def test_token_and_subspan_errors(self):
+        affix = AnnotationElement(0, "no", (0, 5))
+        sent = Sentence("d", 3, (Token(0, "no"), Token(2, "")), (NegationInstance(frozenset({affix}), instance_id=4),))
+        assert [str(d) for d in validate(Corpus((sent,)))] == [
+            "error[bad-token-index] at d#3: token 1 carries index 2",
+            "error[empty-surface] at d#3: token 1 has empty surface",
+            "error[bad-subspan] at d#3/instance 4: subspan (0, 5) out of bounds for 'no'",
+        ]
+        assert str(Diagnostic("warning", "w", "a finding")) == "warning[w]: a finding"
+
+    def test_findings_come_in_one_order_under_every_hash_seed(self):
+        script = (
+            "from negeval import *\n"
+            "cue = frozenset(AnnotationElement(i, 'ab', (0, 2)) for i in range(2, 9))\n"
+            "sent = Sentence('d', 0, (Token(0, 'ab'),), (NegationInstance(cue),))\n"
+            "print(*validate(Corpus((sent,))), sep='\\n')\n"
+        )
+        ((code, out, err),) = outputs_under_hash_seeds(["-c", script])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f"error[index-out-of-range] at d#0/instance 0: element references token {i} in a 1-token sentence"
+            for i in range(2, 9)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,11 @@ def test_punctuation_from_surface(corpus):
     assert not sent.tokens[0].is_punct
 
 
+def test_punctuation_by_the_surface_of_each_token():
+    (sent,) = parse_sfu("<DOCUMENT><SENTENCE><W>No</W><W>\u2014</W><W>way</W></SENTENCE></DOCUMENT>").sentences
+    assert [(t.surface, t.is_punct) for t in sent.tokens] == [("No", False), ("\u2014", True), ("way", False)]
+
+
 def test_instance_count_matches_hand_count(corpus):
     assert sum(len(s.instances) for s in corpus.sentences) == 3
 
