@@ -12,12 +12,11 @@ cardinality.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import AlignmentError
-from .model import Corpus, NegationInstance, Sentence, _records
+from .model import Corpus, NegationInstance, Sentence, _first_repeat, _records
 
 
 class CueMatchMode(enum.Enum):
@@ -120,7 +119,7 @@ def _sentence_pairs(gold: Corpus, pred: Corpus) -> Iterator[tuple[Sentence, Sent
     pred_by_key = {s.key: s for s in pred.sentences}
     for side, corpus, by_key in (("gold", gold, gold_by_key), ("predictions", pred, pred_by_key)):
         if len(by_key) != len(corpus.sentences):
-            key = next(k for k, n in Counter(s.key for s in corpus.sentences).items() if n > 1)
+            key = corpus.sentences[_first_repeat([s.key for s in corpus.sentences])].key
             raise AlignmentError(f"duplicate sentence key {key} in {side}")
     if gold_by_key.keys() != pred_by_key.keys():
         missing_in_pred = [k for k in gold_by_key if k not in pred_by_key]

@@ -16,7 +16,8 @@ import operator
 from typing import IO, Iterator, Sequence
 
 from .errors import ParseError, UsageError
-from .model import AnnotationElement, Corpus, NegationInstance, Sentence, Token, _punct_flags, element_for
+from .model import AnnotationElement, Corpus, NegationInstance, Sentence, Token, _first_repeat, _instance_faults
+from .model import _punct_flags, _text_fault, element_for
 
 _FIXED_COLUMNS = 7
 _NO_NEG = "***"
@@ -54,16 +55,10 @@ def _blocks(text: str) -> Iterator[tuple[int, list[str]]]:
 def cell_element(cell: str, token: Token, source: str, lineno: int) -> AnnotationElement:
     if cell == token.surface:
         return element_for(token)
-    if not cell:
-        raise ParseError("empty annotation cell", source, lineno)
-    start = token.surface.find(cell)
-    if start < 0:
-        raise ParseError(
-            f"annotation cell {cell!r} is not a substring of token {token.surface!r}",
-            source,
-            lineno,
-        )
-    return element_for(token, (start, start + len(cell)))
+    fault = _text_fault(cell, token.surface)
+    if fault is not None:
+        raise ParseError(fault, source, lineno)
+    return AnnotationElement(token.index, cell)
 
 
 def parse_sem_conll(
@@ -97,15 +92,10 @@ def _check_keys(sentences: list[Sentence], source: str, text: str | None = None)
     With ``text``, the input in which each of ``_blocks(text)`` holds one
     sentence, the error names the first line of the repeated sentence.
     """
-    keys = [(s.doc_id, s.sent_index) for s in sentences]
-    if len(set(keys)) == len(keys):
-        return
-    seen = set()
-    for position, key in enumerate(keys):
-        if key in seen:
-            line = None if text is None else next(itertools.islice(_blocks(text), position, None))[0]
-            raise ParseError(f"duplicate sentence key {key}", source, line)
-        seen.add(key)
+    position = _first_repeat([(s.doc_id, s.sent_index) for s in sentences])
+    if position is not None:
+        line = None if text is None else next(itertools.islice(_blocks(text), position, None))[0]
+        raise ParseError(f"duplicate sentence key {sentences[position].key}", source, line)
 
 
 _token_fields = operator.attrgetter("index", "surface", "lemma", "pos", "is_punct")
@@ -270,10 +260,10 @@ def write_sem_conll(corpus: Corpus) -> str:
 
     Sub-span elements are written as their substring text, whole-token
     elements as the full surface; sentences without instances get the
-    single ``***`` cell.  Raises :class:`UsageError` for a set with two
-    elements on one token, for a document id or cell holding a tab, line
-    feed or carriage return, and for a sentence without tokens, which the
-    layout cannot represent.
+    single ``***`` cell.  Raises :class:`UsageError` for an instance that
+    ``validate`` finds at fault, for a set with two elements on one token,
+    for a document id or cell holding a tab, line feed or carriage return,
+    and for a sentence without tokens, which the layout cannot represent.
     """
     blocks = []
     for sent in corpus.sentences:
@@ -299,8 +289,10 @@ def write_sem_conll(corpus: Corpus) -> str:
 
 def _cell_columns(sent: Sentence, instances: tuple[NegationInstance, ...]) -> list[list[str]]:
     """The cue, scope and event cells of each of ``instances``, one column
-    each, on the tokens of ``sent``.  Raises a UsageError for a set with two
-    elements on one token, which one cell cannot hold."""
+    each, on the tokens of ``sent``.  Raises a UsageError for an instance
+    that ``model._instance_faults`` rejects, and for a set with two elements
+    on one token, which one cell cannot hold."""
+    _check_instances(sent, instances)
     columns = []
     for inst in instances:
         for elements in (inst.cue, inst.scope, inst.event):
@@ -314,6 +306,14 @@ def _cell_columns(sent: Sentence, instances: tuple[NegationInstance, ...]) -> li
                 )
             columns.append([cells.get(t.index, _EMPTY) for t in sent.tokens])
     return columns
+
+
+def _check_instances(sent: Sentence, instances: tuple[NegationInstance, ...]) -> None:
+    """The writers' check: raise a UsageError for the first of ``model._instance_faults``."""
+    for k, inst in enumerate(instances):
+        faults = _instance_faults(inst, sent.tokens)
+        if faults:
+            raise UsageError(f"cannot write sentence {sent.key}: instance {k}: {faults[0][1]}")
 
 
 def _check_block(sent: Sentence, block: str, rows: list[str], tabs: int, header_lines: int = 0) -> None:

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .conll import _blocks, _cell_columns, _cell_sets, _check_doc_id, _check_token_rows
-from .errors import ParseError, PatchError, SplitError
+from .errors import ParseError, PatchError, SplitError, UsageError
 from .model import Corpus, NegationInstance, Sentence, _punct_indices, _records, renumber
 
 PARTS = ("train", "dev", "test")
@@ -273,8 +273,8 @@ def parse_patch_file(text: str, corpus: Corpus, source: str = "<string>") -> lis
 
 def format_patch_file(corpus: Corpus, patches: list[ReannotationPatch]) -> str:
     """Render patches in the line-oriented patch format.  Raises
-    :class:`UsageError` for the document ids and cells that
-    ``write_sem_conll`` refuses."""
+    :class:`UsageError` for the document ids, instances and cells that
+    ``write_sem_conll`` refuses, and for a patch without a replacement."""
     sentences = {s.key: s for s in corpus.sentences}
     blocks = []
     for patch in patches:
@@ -282,6 +282,8 @@ def format_patch_file(corpus: Corpus, patches: list[ReannotationPatch]) -> str:
         if sent is None:
             raise PatchError(f"patch targets unknown sentence {patch.doc_id}#{patch.sent_index}")
         _check_doc_id(sent)
+        if not patch.replacement:
+            raise UsageError(f"cannot write the patch of {patch.target}: it has no replacement instance")
         lines = [f"target\t{patch.doc_id}\t{patch.sent_index}\t{patch.instance_id}"]
         columns = _cell_columns(sent, patch.replacement)
         for k in range(0, len(columns), 3):

@@ -26,7 +26,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 
-from .conll import _blocks, _check_block, _check_keys
+from .conll import _blocks, _check_block, _check_instances, _check_keys
 from .errors import GraphError, ParseError
 from .model import Corpus, Diagnostic, NegationInstance, Sentence, _tokens, _whole_token
 
@@ -72,7 +72,8 @@ def encode(
 ) -> NegDepGraph:
     """Encode a sentence's instances as a negation dependency graph.
 
-    Raises :class:`GraphError` when two instances share a representative
+    Raises :class:`UsageError` for an instance that ``validate`` finds at
+    fault, and :class:`GraphError` when two instances share a representative
     token (their edges would be indistinguishable).  With a ``diagnostics``
     list, a nested graph is decoded again, and a graph that does not give
     back the instances' cue, scope and event tokens adds a ``nested-lossy``
@@ -87,6 +88,7 @@ def encode(
 
     if not sentence.instances:
         return NegDepGraph(len(sentence.tokens), frozenset())
+    _check_instances(sentence, sentence.instances)
     insts = []
     for inst in sentence.instances:
         if any(e.text is not None for e in (*inst.cue, *inst.scope, *inst.event)):
@@ -185,11 +187,12 @@ def _row_order(edge: Edge) -> tuple[int, int, str]:
 def decode(graph: NegDepGraph, kind: EncodingKind) -> list[NegationInstance]:
     """Rebuild whole-token instances from a graph.
 
-    Raises :class:`GraphError` for a root edge other than CUE, a CUE edge
-    off the root, other edges whose head carries no CUE edge, an unknown
-    label and cycles in the nesting relation of a nested graph.  Edges are
-    checked in the order in which ``format_graph`` writes them, so the first
-    fault reported does not depend on set order.
+    Raises :class:`GraphError` for an edge to a token outside the graph, a
+    root edge other than CUE, a CUE edge off the root, other edges whose
+    head carries no CUE edge, an unknown label and cycles in the nesting
+    relation of a nested graph.  Edges are checked in the order in which
+    ``format_graph`` writes them, so the first fault reported does not
+    depend on set order.
     """
     if not graph.edges:
         return []
@@ -199,6 +202,8 @@ def decode(graph: NegDepGraph, kind: EncodingKind) -> list[NegationInstance]:
     events: dict[int, set[int]] = {r: set() for r in reps}
     by_label = {LABEL_MULTIWORD: cue_tokens, LABEL_SCOPE: direct_scope, LABEL_EVENT: events}
     for edge in sorted(graph.edges, key=_row_order):
+        if not 0 <= edge.dependent < graph.n_tokens:
+            raise GraphError(f"{edge.label} edge to token {edge.dependent}, outside the graph's {graph.n_tokens} tokens")
         if edge.head is None:
             if edge.label != LABEL_CUE:
                 raise GraphError(f"root edge with label {edge.label!r}; only CUE may attach to root")

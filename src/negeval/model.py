@@ -3,8 +3,8 @@
 A corpus is a sequence of sentences; each sentence carries its tokens and a
 list of negation instances.  An instance is a set of cue elements plus a set
 of scope elements (and optionally event elements).  An element points at a
-token and may cover only a sub-token character range, which is how affix
-cues ("im" in "imprecise") are represented.
+token and may cover only part of its text, which is how affix cues ("im" in
+"imprecise") are represented.
 
 All types are immutable after construction and hashable, so they can be
 shared freely and processed in parallel.
@@ -18,7 +18,7 @@ import gc
 import logging
 import operator
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -95,19 +95,14 @@ def _tokens(surfaces: Sequence[str]) -> tuple[Token, ...]:
 
 @dataclass(frozen=True, slots=True)
 class AnnotationElement:
-    """A cue/scope/event constituent: a token, or a character range within one.
+    """A cue/scope/event constituent: a token, or text within one.
 
-    ``text`` is ``None`` for a whole-token element and the covered substring
-    otherwise.  Equality and hashing use ``(token_index, text)`` only, so a
-    whole-token element equals a sub-span element covering the full surface
-    (``element_for`` normalises that case away at construction time), and two
-    sub-spans with identical text within the same token compare equal.
-    ``subspan`` is kept for provenance but excluded from comparisons.
+    ``text`` is ``None`` for a whole-token element, and otherwise part of the
+    token's surface that ``_text_fault`` accepts (affix cues).
     """
 
     token_index: int
     text: str | None = None
-    subspan: tuple[int, int] | None = field(default=None, compare=False)
 
     def effective_text(self, token: Token) -> str:
         """The surface text this element denotes within ``token``."""
@@ -141,7 +136,20 @@ def element_for(token: Token, subspan: tuple[int, int] | None = None) -> Annotat
         )
     if start == 0 and end == len(token.surface):
         return _whole_token(token.index)
-    return AnnotationElement(token.index, token.surface[start:end], (start, end))
+    return AnnotationElement(token.index, token.surface[start:end])
+
+
+def _text_fault(text: str, surface: str) -> str | None:
+    """Why ``text`` cannot be an element's text on a token with ``surface``,
+    or None: the one rule of element text.  It must be a non-empty substring
+    of the surface, and not the whole surface, which text ``None`` covers."""
+    if not text:
+        return "empty annotation cell"
+    if text == surface:
+        return f"annotation cell {text!r} is the whole token, which an element without text covers"
+    if text not in surface:
+        return f"annotation cell {text!r} is not a substring of token {surface!r}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -333,11 +341,39 @@ def _element_order(element: AnnotationElement) -> tuple[int, bool, str]:
     return (element.token_index, element.text is not None, element.text or "")
 
 
+def _instance_faults(inst: NegationInstance, tokens: Sequence[Token]) -> list[tuple[str, str]]:
+    """The ``(code, message)`` of each fault of ``inst`` on ``tokens``: an
+    empty cue, then each element on no token or with text that ``_text_fault``
+    rejects, in ``_element_order``.  Only faulty elements are sorted."""
+    n = len(tokens)
+    found = []
+    for e in (*inst.cue, *inst.scope, *inst.event):
+        i = e.token_index
+        if not 0 <= i < n:
+            message = f"element references token {i} in a {n}-token sentence"
+            found.append((_element_order(e), "index-out-of-range", message))
+        elif e.text is not None and (fault := _text_fault(e.text, tokens[i].surface)) is not None:
+            found.append((_element_order(e), "bad-element-text", f"element on token {i}: {fault}"))
+    found.sort()
+    return [("empty-cue", "instance has no cue elements")] * (not inst.cue) + [f[1:] for f in found]
+
+
+def _first_repeat(keys: list) -> int | None:
+    """The position of the first of ``keys`` that an earlier one equals, or
+    None: the one rule of which repeated sentence key an error names."""
+    seen = set()
+    for position, key in enumerate(keys):
+        if key in seen:
+            return position
+        seen.add(key)
+    return None
+
+
 def validate(corpus: Corpus) -> list[Diagnostic]:
     """Check every model invariant and return the violations found.
 
-    Errors: empty surfaces, non-contiguous token indices, out-of-range or
-    out-of-bounds elements, empty cue sets, duplicate sentence keys.
+    Errors: empty surfaces, non-contiguous token indices, empty cue sets and
+    elements that ``_instance_faults`` rejects, duplicate sentence keys.
     Warnings: cue sets shared between instances of one sentence (evaluation
     still proceeds on such data).  The readers raise a ``ParseError`` for
     input that would give one of these errors, so this is for corpora built
@@ -353,62 +389,20 @@ def validate(corpus: Corpus) -> list[Diagnostic]:
         seen_keys.add(sent.key)
         for pos, token in enumerate(sent.tokens):
             if token.index != pos:
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        "bad-token-index",
-                        f"token {pos} carries index {token.index}",
-                        *sent.key,
-                    )
-                )
+                message = f"token {pos} carries index {token.index}"
+                diags.append(Diagnostic("error", "bad-token-index", message, *sent.key))
             if not token.surface:
-                diags.append(
-                    Diagnostic("error", "empty-surface", f"token {pos} has empty surface", *sent.key)
-                )
-        n = len(sent.tokens)
+                diags.append(Diagnostic("error", "empty-surface", f"token {pos} has empty surface", *sent.key))
         for inst in sent.instances:
-            if not inst.cue:
-                diags.append(
-                    Diagnostic("error", "empty-cue", "instance has no cue elements", *sent.key, inst.instance_id)
-                )
-            # sorted, so that the order of the findings does not follow the hash
-            for element in sorted((*inst.cue, *inst.scope, *inst.event), key=_element_order):
-                if not 0 <= element.token_index < n:
-                    diags.append(
-                        Diagnostic(
-                            "error",
-                            "index-out-of-range",
-                            f"element references token {element.token_index} in a {n}-token sentence",
-                            *sent.key,
-                            inst.instance_id,
-                        )
-                    )
-                    continue
-                if element.subspan is not None:
-                    start, end = element.subspan
-                    surface = sent.tokens[element.token_index].surface
-                    if not (0 <= start < end <= len(surface)):
-                        diags.append(
-                            Diagnostic(
-                                "error",
-                                "bad-subspan",
-                                f"subspan {element.subspan} out of bounds for {surface!r}",
-                                *sent.key,
-                                inst.instance_id,
-                            )
-                        )
+            diags.extend(
+                Diagnostic("error", code, message, *sent.key, inst.instance_id)
+                for code, message in _instance_faults(inst, sent.tokens)
+            )
         for i, a in enumerate(sent.instances):
             for b in sent.instances[i + 1 :]:
                 if a.cue & b.cue:
-                    diags.append(
-                        Diagnostic(
-                            "warning",
-                            "overlapping-cues",
-                            f"instances {a.instance_id} and {b.instance_id} share cue elements",
-                            *sent.key,
-                            a.instance_id,
-                        )
-                    )
+                    message = f"instances {a.instance_id} and {b.instance_id} share cue elements"
+                    diags.append(Diagnostic("warning", "overlapping-cues", message, *sent.key, a.instance_id))
     return diags
 
 

@@ -13,12 +13,15 @@ from negeval import (
     Corpus,
     CueMatchMode,
     NegationInstance,
+    ParseError,
     Sentence,
     Token,
     align,
     align_corpus,
     correct_sentence_ratio,
     full_report,
+    parse_sem_conll,
+    write_sem_conll,
 )
 from negeval.testing import perturb_predictions, random_corpus
 
@@ -68,8 +71,8 @@ def test_multiword_cue_exact_vs_partial():
 
 
 def test_affix_cues_match_only_on_identical_subspan_text():
-    gold = sentence(["imprecise"], [NegationInstance(frozenset({AnnotationElement(0, "im", (0, 2))}))])
-    pred_same = sentence(["imprecise"], [NegationInstance(frozenset({AnnotationElement(0, "im", (0, 2))}))])
+    gold = sentence(["imprecise"], [NegationInstance(frozenset({AnnotationElement(0, "im")}))])
+    pred_same = sentence(["imprecise"], [NegationInstance(frozenset({AnnotationElement(0, "im")}))])
     pred_whole = sentence(["imprecise"], [NegationInstance(frozenset({AnnotationElement(0)}))])
     assert len(align(gold, pred_same).matched) == 1
     result = align(gold, pred_whole)
@@ -138,6 +141,15 @@ def test_paired_sentences_with_different_tokens_are_an_error(entry_point):
     message = "token sequences differ for sentence ('d', 0): 2 gold vs 3 predicted tokens"
     with pytest.raises(AlignmentError, match=re.escape(message)):
         entry_point(gold, pred)
+
+
+def test_a_repeated_key_is_named_as_the_reader_names_it():
+    a, b = sentence(["x"], [], doc="A"), sentence(["x"], [], doc="B")
+    with pytest.raises(AlignmentError, match=re.escape("duplicate sentence key ('B', 0) in gold")):
+        full_report(Corpus((a, b, b, a)), Corpus((a, b)))
+    text = "\n".join(write_sem_conll(Corpus((s,))) for s in (a, b, b, a))
+    with pytest.raises(ParseError, match=re.escape("<string>:5: duplicate sentence key ('B', 0)")):
+        parse_sem_conll(text)
 
 
 def test_empty_corpora_align_to_nothing():

@@ -23,7 +23,7 @@ def test_affix_cue_becomes_subspan():
     corpus = parse_sem_conll(text)
     inst = corpus.sentences[0].instances[0]
     (cue,) = inst.cue
-    assert cue.token_index == 1 and cue.text == "im" and cue.subspan == (0, 2)
+    assert cue.token_index == 1 and cue.text == "im"
     scope_texts = {(e.token_index, e.text) for e in inst.scope}
     assert scope_texts == {(0, None), (1, "precise")}
 
@@ -31,7 +31,7 @@ def test_affix_cue_becomes_subspan():
 def test_whole_surface_cell_is_whole_token_element():
     text = row("d", "0", "0", "no", "no", "DT", "_", "no", "_", "_")
     (cue,) = parse_sem_conll(text).sentences[0].instances[0].cue
-    assert cue.text is None and cue.subspan is None
+    assert cue.text is None
 
 
 def test_no_negation_sentence_has_empty_instances():

@@ -15,6 +15,7 @@ from negeval import (
     SplitError,
     SplitSpec,
     Token,
+    UsageError,
     apply_patches,
     corpus_stats,
     detect_coordination_cues,
@@ -240,6 +241,18 @@ class TestPatchFile:
         patches = detect_coordination_cues(corpus)
         text = format_patch_file(corpus, patches)
         assert apply_patches(corpus, parse_patch_file(text, corpus)) == apply_patches(corpus, patches)
+
+    def test_a_patch_without_a_replacement_is_not_written(self):
+        corpus = Corpus((coordination_sentence(),))
+        (patch,) = detect_coordination_cues(corpus)
+        with pytest.raises(UsageError) as err:
+            format_patch_file(corpus, [patch, ReannotationPatch("cd", 7, 0, ())])
+        assert str(err.value) == "cannot write the patch of ('cd', 7, 0): it has no replacement instance"
+        assert format_patch_file(corpus, [patch]) == (
+            "target\tcd\t7\t0\n"
+            "replace\tNeither\t_\t_\t_\tMary\t_\t_\t_\t_\t_\tSam\t_\t_\tlike\t_\t_\tpizza\t_\n"
+            "replace\t_\t_\t_\t_\tMary\t_\tnor\t_\t_\t_\tSam\t_\t_\tlike\t_\t_\tpizza\t_\n"
+        )
 
     def test_bad_cell_count_is_a_parse_error(self):
         corpus = Corpus((coordination_sentence(),))

@@ -104,7 +104,7 @@ def test_affix_elements_are_promoted_with_diagnostic():
         "d",
         0,
         (Token(0, "imprecise"), Token(1, "was")),
-        (NegationInstance(frozenset({AnnotationElement(0, "im", (0, 2))}), frozenset({AnnotationElement(1)})),),
+        (NegationInstance(frozenset({AnnotationElement(0, "im")}), frozenset({AnnotationElement(1)})),),
     )
     diags = []
     graph = encode(sent, EncodingKind.DIRECT, diags)
@@ -148,6 +148,22 @@ def test_decode_rejects_an_unknown_label():
     with pytest.raises(GraphError) as err:
         decode(graph, EncodingKind.DIRECT)
     assert str(err.value) == "edge with unknown label 'X'"
+
+
+def test_decode_rejects_an_edge_outside_its_graph():
+    graph = NegDepGraph(2, frozenset({Edge(None, 9, "CUE"), Edge(9, 1, "S"), Edge(9, -3, "S")}))
+    with pytest.raises(GraphError) as err:
+        decode(graph, EncodingKind.DIRECT)
+    assert str(err.value) == "S edge to token -3, outside the graph's 2 tokens"
+    # a head outside the graph carries no CUE edge, or its CUE edge is outside too
+    cues = {Edge(None, 0, "CUE"), Edge(None, 2, "CUE")}
+    for edges in (cues, cues | {Edge(2, 1, "S")}):
+        with pytest.raises(GraphError) as err:
+            decode(NegDepGraph(2, frozenset(edges)), EncodingKind.NESTED)
+        assert str(err.value) == "CUE edge to token 2, outside the graph's 2 tokens"
+    with pytest.raises(GraphError) as err:
+        decode(NegDepGraph(2, frozenset({Edge(None, 0, "CUE"), Edge(7, 1, "S")})), EncodingKind.DIRECT)
+    assert str(err.value) == "S edge from token 7, which carries no CUE edge"
 
 
 def test_decode_reports_the_first_fault_in_row_order_under_every_hash_seed(tmp_path):

@@ -46,12 +46,6 @@ class TestElementEquality:
         b = element_for(token, (3, 5))  # "an"
         assert a == b  # same token, same covered text
 
-    def test_subspan_is_not_compared(self):
-        a = AnnotationElement(3, "un", (0, 2))
-        b = AnnotationElement(3, "un", (5, 7))
-        assert a == b
-        assert hash(a) == hash(b)
-
     @pytest.mark.parametrize("value, name", [(Token(0, "no"), "surface"), (AnnotationElement(0), "text")])
     def test_frozen_and_without_instance_dict(self, value, name):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -83,9 +77,13 @@ class TestElementEquality:
         # affix elements stay distinct objects, equal by value
         (im_a,) = first.sentences[0].instances[0].cue
         (im_b,) = second.sentences[0].instances[0].cue
-        assert (im_a.text, im_a.subspan) == ("im", (0, 2))
+        assert im_a.text == "im"
         assert im_a is not im_b and im_a == im_b
         assert im_a != AnnotationElement(2)
+
+    def test_an_element_is_a_token_index_and_a_text(self):
+        assert [f.name for f in dataclasses.fields(AnnotationElement)] == ["token_index", "text"]
+        assert element_for(Token(0, "unreal"), (0, 2)) == AnnotationElement(0, "un")
 
     def test_bad_subspan_rejected(self):
         token = Token(0, "cat")
@@ -220,20 +218,33 @@ class TestValidate:
         diags = validate(Corpus((sent, sent)))
         assert any(d.code == "duplicate-sentence" for d in diags)
 
-    def test_token_and_subspan_errors(self):
-        affix = AnnotationElement(0, "no", (0, 5))
+    def test_token_and_element_text_errors(self):
+        affix = AnnotationElement(0, "non")
         sent = Sentence("d", 3, (Token(0, "no"), Token(2, "")), (NegationInstance(frozenset({affix}), instance_id=4),))
         assert [str(d) for d in validate(Corpus((sent,)))] == [
             "error[bad-token-index] at d#3: token 1 carries index 2",
             "error[empty-surface] at d#3: token 1 has empty surface",
-            "error[bad-subspan] at d#3/instance 4: subspan (0, 5) out of bounds for 'no'",
+            "error[bad-element-text] at d#3/instance 4: element on token 0: "
+            "annotation cell 'non' is not a substring of token 'no'",
         ]
         assert str(Diagnostic("warning", "w", "a finding")) == "warning[w]: a finding"
+
+    def test_whole_surface_text_is_an_error(self):
+        # such a gold cue would score as a miss against the whole-token cue
+        # that every reader builds for the same cell
+        tokens = (Token(0, "not"), Token(1, "here"))
+        gold = NegationInstance(frozenset({AnnotationElement(0, "not")}), frozenset({AnnotationElement(1)}))
+        pred = NegationInstance(frozenset({AnnotationElement(0)}), frozenset({AnnotationElement(1)}))
+        assert [str(d) for d in validate(Corpus((Sentence("d", 0, tokens, (gold,)),)))] == [
+            "error[bad-element-text] at d#0/instance 0: element on token 0: "
+            "annotation cell 'not' is the whole token, which an element without text covers"
+        ]
+        assert validate(Corpus((Sentence("d", 0, tokens, (pred,)),))) == []
 
     def test_findings_come_in_one_order_under_every_hash_seed(self):
         script = (
             "from negeval import *\n"
-            "cue = frozenset(AnnotationElement(i, 'ab', (0, 2)) for i in range(2, 9))\n"
+            "cue = frozenset(AnnotationElement(i, 'ab') for i in range(2, 9))\n"
             "sent = Sentence('d', 0, (Token(0, 'ab'),), (NegationInstance(cue),))\n"
             "print(*validate(Corpus((sent,))), sep='\\n')\n"
         )

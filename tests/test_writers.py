@@ -4,12 +4,29 @@ writers, and refusal of cells the formats cannot hold."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from negeval import Corpus, NegationInstance, Sentence, Token, UsageError, element_for, write_sem_conll
+from conftest import outputs_under_hash_seeds
+from negeval import (
+    AnnotationElement,
+    Corpus,
+    NegationInstance,
+    ReannotationPatch,
+    Sentence,
+    Token,
+    UsageError,
+    element_for,
+    format_patch_file,
+    parse_sem_conll,
+    validate,
+    write_sem_conll,
+)
 from negeval.depgraph import EncodingKind, encode, encode_corpus, format_graph
 from negeval.errors import GraphError
+from negeval.model import renumber
+from negeval.testing import random_sentence
 from test_reference_scorer import corpus_pair
 
 # ---------------------------------------------------------------------------
@@ -198,3 +215,76 @@ def test_other_whitespace_is_written_as_it_is():
     assert write_sem_conll(Corpus((sent,))) == reference_write_sem_conll(Corpus((sent,)))
     graph = encode(sent, EncodingKind.DIRECT)
     assert format_graph(sent, graph) == reference_format_graph(sent, graph)
+
+
+# ---------------------------------------------------------------------------
+# Instances that validate rejects: every writer refuses them with its message
+
+
+_FAULTS = ("index too high", "negative index", "empty text", "whole-surface text", "text not in token", "empty cue")
+
+
+def _faulty_instance(rng: random.Random, tokens: tuple[Token, ...], fault: str) -> NegationInstance:
+    token = rng.choice(tokens)
+    element = {
+        "index too high": AnnotationElement(len(tokens) + rng.randrange(3)),
+        "negative index": AnnotationElement(-1 - rng.randrange(3)),
+        "empty text": AnnotationElement(token.index, ""),
+        "whole-surface text": AnnotationElement(token.index, token.surface),
+        "text not in token": AnnotationElement(token.index, token.surface + "x"),
+        "empty cue": None,
+    }[fault]
+    scope = frozenset(element_for(t) for t in tokens if rng.random() < 0.3)
+    if element is None:
+        return NegationInstance(frozenset(), scope)
+    if rng.random() < 0.5:
+        return NegationInstance(frozenset({element_for(token)}), scope | {element})
+    return NegationInstance(frozenset({element}), scope)
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_every_writer_refuses_what_validate_rejects(fault):
+    for seed in range(40):
+        rng = random.Random(seed)
+        corpus = Corpus(tuple(random_sentence(rng, "d", i, max_instances=3) for i in range(3)))
+        assert parse_sem_conll(write_sem_conll(corpus)) == corpus, seed
+        sent = rng.choice(corpus.sentences)
+        instances = list(sent.instances)
+        instances.insert(rng.randint(0, len(instances)), _faulty_instance(rng, sent.tokens, fault))
+        bad = replace(sent, instances=renumber(instances))
+        faulty = Corpus(tuple(bad if s is sent else s for s in corpus.sentences))
+        (error,) = [d for d in validate(faulty) if d.level == "error"]
+        writers = [
+            lambda: write_sem_conll(faulty),
+            lambda: format_patch_file(faulty, [ReannotationPatch("d", bad.sent_index, 0, bad.instances)]),
+            lambda: encode_corpus(faulty, EncodingKind.DIRECT),
+            lambda: encode_corpus(faulty, EncodingKind.NESTED),
+        ]
+        for write in writers:
+            with pytest.raises(UsageError) as err:
+                write()
+            assert str(err.value).startswith(f"cannot write sentence {bad.key}: instance "), seed
+            assert str(err.value).endswith(f": {error.message}"), seed
+
+
+def test_the_writers_name_one_fault_under_every_hash_seed():
+    script = (
+        "from negeval import *\n"
+        "from negeval.depgraph import EncodingKind, encode_corpus\n"
+        "tokens = (Token(0, 'abc'), Token(1, 'def'))\n"
+        "E = AnnotationElement\n"
+        "cue = frozenset({E(1, 'x'), E(0, 'y'), E(1, ''), E(0, 'q'), E(1, 'def'), E(0, 'b')})\n"
+        "corpus = Corpus((Sentence('d', 0, tokens, (NegationInstance(cue),)),))\n"
+        "patch = ReannotationPatch('d', 0, 0, corpus.sentences[0].instances)\n"
+        "for write in (write_sem_conll, lambda c: format_patch_file(c, [patch]),\n"
+        "              lambda c: encode_corpus(c, EncodingKind.NESTED)):\n"
+        "    try:\n"
+        "        write(corpus)\n"
+        "    except UsageError as exc:\n"
+        "        print(exc)\n"
+    )
+    message = (
+        "cannot write sentence ('d', 0): instance 0: element on token 0: "
+        "annotation cell 'q' is not a substring of token 'abc'"
+    )
+    assert outputs_under_hash_seeds(["-c", script]) == {(0, f"{message}\n" * 3, "")}
