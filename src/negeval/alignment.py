@@ -1,12 +1,12 @@
 """One-to-one alignment of gold and predicted negation instances.
 
 Instances are matched on their cue sets only, either exactly or by overlap.
-The matching is deterministic: gold instances are processed in order of
-their first cue token, and each takes the not-yet-matched prediction with
-the lowest first cue token that satisfies the criterion.  For exact cue
-equality this greedy procedure is a maximum matching (equality partitions
-the instances); for partial overlap determinism is preferred over maximum
-cardinality.
+The matching is deterministic and reads no ``instance_id``: gold instances
+are taken in cue order (first cue token, then position in the sentence),
+and each takes the first unmatched prediction in cue order that satisfies
+the criterion.  For exact cue equality this greedy procedure is a maximum
+matching (equality partitions the instances); for partial overlap
+determinism is preferred over maximum cardinality.
 """
 
 from __future__ import annotations
@@ -79,14 +79,14 @@ def _match(
     unmatched_gold: list[tuple] = []
     exact = mode is CueMatchMode.EXACT
     for g in gold_order:
-        cue = g[3]
+        cue = g[2]
         for slot, p in enumerate(free if cue else ()):
-            if cue == p[3] if exact else not cue.isdisjoint(p[3]):
+            if cue == p[2] if exact else not cue.isdisjoint(p[2]):
                 matched.append((g, free.pop(slot)))
                 break
         else:
             unmatched_gold.append(g)
-    partial_only = [p for p in free if any(not p[3].isdisjoint(g[3]) for g in gold_order)]
+    partial_only = [p for p in free if any(not p[2].isdisjoint(g[2]) for g in gold_order)]
     return matched, unmatched_gold, free, partial_only
 
 
@@ -103,10 +103,10 @@ def align(gold: Sentence, pred: Sentence, mode: CueMatchMode = CueMatchMode.EXAC
         doc_id=gold.doc_id,
         sent_index=gold.sent_index,
         mode=mode,
-        matched=tuple((g_inst[g[2]], p_inst[p[2]]) for g, p in matched),
-        unmatched_gold=tuple(g_inst[g[2]] for g in unmatched_gold),
-        unmatched_pred=tuple(p_inst[p[2]] for p in unmatched_pred),
-        partial_only_pred=tuple(p_inst[p[2]] for p in partial_only),
+        matched=tuple((g_inst[g[1]], p_inst[p[1]]) for g, p in matched),
+        unmatched_gold=tuple(g_inst[g[1]] for g in unmatched_gold),
+        unmatched_pred=tuple(p_inst[p[1]] for p in unmatched_pred),
+        partial_only_pred=tuple(p_inst[p[1]] for p in partial_only),
     )
 
 

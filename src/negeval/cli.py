@@ -112,6 +112,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     gold = _load_corpus(args.gold, args)
+    if not args.keep_punct:
+        gold = strip_punctuation(gold)
     pred_a = _load_corpus(args.pred_a, args, tokens_from=gold)
     pred_b = _load_corpus(args.pred_b, args, tokens_from=gold)
     report_a = full_report(gold, pred_a, keep_punct=args.keep_punct)

@@ -174,23 +174,30 @@ class ReannotationPatch:
         return (self.doc_id, self.sent_index, self.instance_id)
 
 
+def _target_sentence(sentences: dict[tuple[str, int], Sentence], patch: ReannotationPatch) -> Sentence:
+    """The sentence ``patch`` targets; a :class:`PatchError` if it or the instance is unknown."""
+    sent = sentences.get((patch.doc_id, patch.sent_index))
+    if sent is None:
+        raise PatchError(f"patch targets unknown sentence {patch.doc_id}#{patch.sent_index}")
+    if all(inst.instance_id != patch.instance_id for inst in sent.instances):
+        raise PatchError(f"patch targets unknown instance {patch.doc_id}#{patch.sent_index}/{patch.instance_id}")
+    return sent
+
+
 def apply_patches(corpus: Corpus, patches: list[ReannotationPatch]) -> Corpus:
     """Replace targeted instances; instance ids are renumbered per sentence.
 
-    Raises :class:`PatchError` when a target does not exist.  Patches with
-    distinct targets commute.
+    Raises :class:`PatchError` at the first patch whose target does not
+    exist or is an earlier patch's.  Patches with distinct targets commute.
     """
+    sentences = {s.key: s for s in corpus.sentences}
     by_sentence: dict[tuple[str, int], dict[int, ReannotationPatch]] = {}
     for patch in patches:
+        _target_sentence(sentences, patch)
         slot = by_sentence.setdefault((patch.doc_id, patch.sent_index), {})
         if patch.instance_id in slot:
             raise PatchError(f"two patches target instance {patch.target}")
         slot[patch.instance_id] = patch
-
-    sentence_keys = {s.key for s in corpus.sentences}
-    for key, slot in by_sentence.items():
-        if key not in sentence_keys:
-            raise PatchError(f"patch targets unknown sentence {key[0]}#{key[1]}")
 
     out = []
     for sent in corpus.sentences:
@@ -198,12 +205,6 @@ def apply_patches(corpus: Corpus, patches: list[ReannotationPatch]) -> Corpus:
         if not slot:
             out.append(sent)
             continue
-        known = {inst.instance_id for inst in sent.instances}
-        for instance_id in slot:
-            if instance_id not in known:
-                raise PatchError(
-                    f"patch targets unknown instance {sent.doc_id}#{sent.sent_index}/{instance_id}"
-                )
         rebuilt: list[NegationInstance] = []
         for inst in sent.instances:
             if inst.instance_id in slot:
@@ -273,14 +274,13 @@ def parse_patch_file(text: str, corpus: Corpus, source: str = "<string>") -> lis
 
 def format_patch_file(corpus: Corpus, patches: list[ReannotationPatch]) -> str:
     """Render patches in the line-oriented patch format.  Raises
+    :class:`PatchError` for a target that ``apply_patches`` rejects, and
     :class:`UsageError` for the document ids, instances and cells that
     ``write_sem_conll`` refuses, and for a patch without a replacement."""
     sentences = {s.key: s for s in corpus.sentences}
     blocks = []
     for patch in patches:
-        sent = sentences.get((patch.doc_id, patch.sent_index))
-        if sent is None:
-            raise PatchError(f"patch targets unknown sentence {patch.doc_id}#{patch.sent_index}")
+        sent = _target_sentence(sentences, patch)
         _check_doc_id(sent)
         if not patch.replacement:
             raise UsageError(f"cannot write the patch of {patch.target}: it has no replacement instance")

@@ -264,21 +264,19 @@ def _punct_indices(tokens: tuple[Token, ...]) -> set[int]:
 def _records(sent: Sentence, punct: set[int] | None = None) -> list[tuple]:
     """``sent``'s instances as scoring reads them, in instance order.
 
-    Each record is ``(first cue index, id, position, cue, scope)``, the
-    position being the instance's index in ``sent.instances``.  Sorted
-    records give the order in which ``alignment._match`` takes instances,
-    and the position breaks ties, so no sets are compared.  Events are left
-    out, since no score reads them.
+    Each record is ``(first cue index, position, cue, scope)``, the position
+    being the instance's index in ``sent.instances``.  Sorted records give
+    the cue order in which ``alignment._match`` takes instances, ties going
+    by position, so no sets are compared and no ``instance_id`` is read.
+    Events are left out, since no score reads them.
 
-    This is the one place of the stripping rule.  Without ``punct`` tokens
-    each instance keeps its cue, scope and ``instance_id``.  Otherwise its
-    elements on ``punct`` tokens are left out, an instance left with no cue
-    is dropped with a warning, since it cannot take part in cue matching,
-    and each id is the kept instance's position among the kept ones.
+    This is the one place of the stripping rule: with ``punct`` tokens, their
+    elements are left out, and an instance left with no cue is dropped with a
+    warning, since it cannot take part in cue matching.
     """
     if not punct:
         return [
-            (min(map(_token_index, inst.cue)) if inst.cue else -1, inst.instance_id, n, inst.cue, inst.scope)
+            (min(map(_token_index, inst.cue)) if inst.cue else -1, n, inst.cue, inst.scope)
             for n, inst in enumerate(sent.instances)
         ]
     records = []
@@ -292,13 +290,13 @@ def _records(sent: Sentence, punct: set[int] | None = None) -> list[tuple]:
                 sent.sent_index,
             )
             continue
-        records.append((min(map(_token_index, cue)), len(records), position, cue, _without(inst.scope, punct)))
+        records.append((min(map(_token_index, cue)), position, cue, _without(inst.scope, punct)))
     return records
 
 
 def _kept_instances(sent: Sentence, punct: set[int]) -> tuple[NegationInstance, ...]:
     """``sent``'s instances as ``_records`` keeps them, with every element
-    on a ``punct`` token removed.
+    on a ``punct`` token removed, numbered by position among the kept ones.
 
     Returns ``sent.instances`` itself when that changes nothing, and keeps
     unchanged instances as the same objects.
@@ -307,7 +305,7 @@ def _kept_instances(sent: Sentence, punct: set[int]) -> tuple[NegationInstance, 
         return sent.instances
     kept: list[NegationInstance] = []
     changed = False
-    for _, n, position, cue, scope in _records(sent, punct):
+    for n, (_, position, cue, scope) in enumerate(_records(sent, punct)):
         inst = sent.instances[position]
         event = _without(inst.event, punct)
         if cue is not inst.cue or scope is not inst.scope or event is not inst.event or inst.instance_id != n:

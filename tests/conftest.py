@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -11,6 +12,19 @@ import negeval
 from negeval import Corpus, load_sem_conll
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REFERENCE_PATH = Path(__file__).parents[1] / "perfbench" / "reference.py"
+
+
+def _load_reference():
+    """``perfbench/reference.py``, the from-definition scorer, loaded by path
+    so that the tests and the benchmark check against the same code."""
+    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _load_reference()
 
 
 def fixture_path(name: str) -> Path:

@@ -255,6 +255,20 @@ def test_dropped_instance_warnings_come_in_pair_order(capsys, tmp_path):
     assert err == "negeval: alignment-error: sentence sets differ; missing from predictions: [('d', 1)]\n"
 
 
+def test_compare_warns_about_the_gold_once_then_each_system(capsys, tmp_path):
+    words = [("no", "DT"), (",", ","), ("way", "NN")]
+    paths = {name: tmp_path / f"{name}.conll" for name in ("gold", "a", "b")}
+    # a comma-only cue: instance 1 in gold, 0 in system A, 2 in system B
+    for name, cues in (("gold", [{0}, {1}]), ("a", [{1}, {0}]), ("b", [{0}, {2}, {1}])):
+        _write_sentences(paths[name], [(words, cues)])
+    argv = ["compare", "--gold", str(paths["gold"]), "--pred-a", str(paths["a"]), "--pred-b", str(paths["b"])]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert err.splitlines() == [
+        f"negeval: warning: dropping instance {i} of d#0: cue is entirely punctuation" for i in (1, 0, 2)
+    ]
+
+
 def test_commands_pause_gc_and_restore_the_callers_state(capsys, monkeypatch, tmp_path):
     seen = []
 

@@ -267,6 +267,15 @@ class TestPatchFile:
             format_patch_file(corpus, [ReannotationPatch("cd", 99, 0, patch.replacement)])
         assert str(err.value) == "patch targets unknown sentence cd#99"
 
+    def test_a_patch_for_an_unknown_instance_is_neither_written_nor_applied(self):
+        corpus = Corpus((coordination_sentence(),))
+        (patch,) = detect_coordination_cues(corpus)
+        unknown = ReannotationPatch("cd", 7, 5, patch.replacement)
+        for call in (format_patch_file, apply_patches):
+            with pytest.raises(PatchError) as err:
+                call(corpus, [patch, unknown])
+            assert str(err.value) == "patch targets unknown instance cd#7/5"
+
     def test_unknown_sentence_is_a_parse_error(self):
         corpus = Corpus((coordination_sentence(),))
         text = "target\tcd\t99\t0\nreplace\t" + "\t".join(["_"] * 18) + "\n"
@@ -312,7 +321,9 @@ def test_patch_files_round_trip_every_set():
     for seed in range(200):
         for corpus in corpus_pair(seed):
             patches = [
-                ReannotationPatch(s.doc_id, s.sent_index, 0, tuple(i for i in s.instances if i.cue))
+                ReannotationPatch(
+                    s.doc_id, s.sent_index, s.instances[0].instance_id, tuple(i for i in s.instances if i.cue)
+                )
                 for s in corpus.sentences
                 if any(i.cue for i in s.instances)
             ]

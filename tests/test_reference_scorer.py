@@ -1,10 +1,11 @@
-"""Differential test: every count in ``full_report`` against a brute-force scorer.
+"""Differential test: every count in ``full_report`` against the reference scorer.
 
-The scorer here is written from the metric definitions in the README and
-the metric docstrings.  It reads corpora through their attributes only and
-uses nothing from ``negeval.alignment``, ``negeval.metrics`` or
-``negeval.report``: an element is the pair (token index, covered text),
-and punctuation handling, alignment and every count are redone below.
+The reference is ``perfbench/reference.py``, the from-definition recount
+that also checks every benchmark output.  It imports nothing from negeval:
+it reads corpora through their attributes only, an element is the pair
+(token index, covered text), and punctuation stripping, alignment and every
+count are done there.  ``reference_counts`` below only maps the report's two
+options onto it.
 
 The random corpora come from ``negeval.testing`` and then pass through
 ``_post_pass``, which adds what the generators never produce: affix cues,
@@ -14,108 +15,57 @@ scopes, and instance ids that are not positions.
 
 from __future__ import annotations
 
+import ast
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from conftest import REFERENCE_PATH, reference
 from negeval import Corpus, NegationInstance, Sentence, element_for, full_report
 from negeval.testing import perturb_predictions, random_corpus
 
 N_CORPORA = 1000
 
 
-# ---------------------------------------------------------------------------
-# Reference scorer
-
-
-def _elements(elements) -> frozenset:
-    return frozenset((e.token_index, e.text) for e in elements)
-
-
-def _instances(sent: Sentence, keep_punct: bool) -> list[tuple]:
-    """The sentence's instances as (cue, scope, order) tuples, ready to score.
-
-    Unless ``keep_punct``, elements on punctuation tokens leave every set and
-    an instance whose cue was only punctuation is dropped.  ``order`` is the
-    cue order used by the alignment: first cue token, then instance id, then
-    position.  Stripping renumbers the kept instances of a sentence that has
-    punctuation tokens, so there the id is the new position.
-    """
-    punct = {t.index for t in sent.tokens if t.is_punct}
-    strip = punct and not keep_punct
-    out = []
-    for inst in sent.instances:
-        cue, scope = _elements(inst.cue), _elements(inst.scope)
-        if strip:
-            cue = frozenset(e for e in cue if e[0] not in punct)
-            scope = frozenset(e for e in scope if e[0] not in punct)
-            if not cue:
-                continue
-        ident = len(out) if strip else inst.instance_id
-        out.append((cue, scope, (min(e[0] for e in cue), ident, len(out))))
-    return out
-
-
-def _align(gold: list, pred: list, compatible) -> tuple[list, list]:
-    """Gold in cue order, each taking the first unmatched compatible
-    prediction in cue order.  Returns matched pairs and unmatched predictions."""
-    free = sorted(pred, key=lambda inst: inst[2])
-    matched = []
-    for g in sorted(gold, key=lambda inst: inst[2]):
-        for slot, p in enumerate(free):
-            if compatible(g[0], p[0]):
-                matched.append((g, free.pop(slot)))
-                break
-    return matched, free
+def _no_punctuation(corpus: Corpus) -> Corpus:
+    """``corpus`` with every token marked as not punctuation, so that
+    ``reference.strip`` strips nothing."""
+    return replace(
+        corpus,
+        sentences=tuple(
+            replace(s, tokens=tuple(replace(t, is_punct=False) for t in s.tokens)) for s in corpus.sentences
+        ),
+    )
 
 
 def reference_counts(gold: Corpus, pred: Corpus, *, keep_punct: bool, cns_all: bool) -> dict:
-    """Every metric's (p_num, p_den, r_num, r_den), and CNS as (correct, total)."""
-    pred_by_key = {(s.doc_id, s.sent_index): s for s in pred.sentences}
-    n_gold = n_pred = 0
-    tp = {"exact": 0, "partial": 0}
-    no_overlap = {"exact": 0, "partial": 0}
-    scope_tp = overlap = gold_mass = pred_mass = 0
-    inst_p = inst_r = 0.0
-    cns_correct = cns_total = 0
-    for sent in gold.sentences:
-        g_inst = _instances(sent, keep_punct)
-        p_inst = _instances(pred_by_key[(sent.doc_id, sent.sent_index)], keep_punct)
-        n_gold += len(g_inst)
-        n_pred += len(p_inst)
-        gold_mass += sum(len(g[1]) for g in g_inst)
-        pred_mass += sum(len(p[1]) for p in p_inst)
-        gold_cue_elements = {e for g in g_inst for e in g[0]}
-        for mode, compatible in (("exact", lambda a, b: a == b), ("partial", lambda a, b: bool(a & b))):
-            matched, unmatched = _align(g_inst, p_inst, compatible)
-            tp[mode] += len(matched)
-            # "standard" precision counts only predictions whose cue overlaps no gold cue
-            no_overlap[mode] += sum(1 for p in unmatched if gold_cue_elements.isdisjoint(p[0]))
-            if mode == "exact":
-                for g, p in matched:
-                    common = len(g[1] & p[1])
-                    scope_tp += g[1] == p[1]
-                    overlap += common
-                    inst_p += common / len(p[1]) if p[1] else 1.0
-                    inst_r += common / len(g[1]) if g[1] else 1.0
-        if g_inst or cns_all:
-            cns_total += 1
-            cns_correct += Counter(i[:2] for i in g_inst) == Counter(i[:2] for i in p_inst)
-    counts = {}
-    for mode in ("exact", "partial"):
-        counts[f"cues_{mode}"] = (tp[mode], tp[mode] + no_overlap[mode], tp[mode], n_gold)
-        counts[f"cues_{mode}_b"] = (tp[mode], n_pred, tp[mode], n_gold)
-    counts.update(
-        scm=(scope_tp, scope_tp + no_overlap["exact"], scope_tp, n_gold),
-        scm_b=(scope_tp, n_pred, scope_tp, n_gold),
-        st=(overlap, pred_mass, overlap, gold_mass),
-        inst_tok=(inst_p, n_pred, inst_r, n_gold),
-        inst_ex=(scope_tp, n_pred, scope_tp, n_gold),
-        cns=(cns_correct, cns_total),
-    )
+    """Every metric's (p_num, p_den, r_num, r_den), and CNS as (correct,
+    total), from ``reference.recount``.
+
+    ``keep_punct`` scores copies whose tokens are not punctuation.  With
+    ``cns_all`` every sentence counts for CNS, and one where neither stripped
+    side has an instance is correct.
+    """
+    if keep_punct:
+        gold, pred = _no_punctuation(gold), _no_punctuation(pred)
+    counts = reference.recount(gold, pred)
+    if cns_all:
+        pred_instances = {key: instances for key, _, instances in reference.strip(pred)}
+        gold_instances = reference.strip(gold)
+        empty = sum(1 for key, _, instances in gold_instances if not instances and not pred_instances[key])
+        counts["cns"] = (counts["cns"][0] + empty, len(gold.sentences))
     return counts
+
+
+def test_the_reference_scorer_imports_nothing_from_negeval():
+    tree = ast.parse(REFERENCE_PATH.read_text("utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imported, "no import found: the walk is broken"
+    assert not [name for name in imported if name.split(".")[0] == "negeval"], imported
 
 
 # ---------------------------------------------------------------------------

@@ -250,9 +250,9 @@ def _sentence(index, surfaces, instances):
     return Sentence("d", index, tokens, tuple(_instance(*inst) for inst in instances))
 
 
-# Instances whose cues share their first token are ordered by id, and the
-# first of two equal cues takes the match, so these pairs score differently
-# when a wrong id or order breaks the tie.
+# Instances whose cues share their first token are ordered by position, not
+# by id, and the first of two equal cues takes the match, so these pairs
+# score differently when ids or a wrong order break the tie.
 ORDER_PAIRS = [
     (  # a punctuation token: stripping drops the comma cue and renumbers by position
         ["a", "no", "b", "c", ",", "d"],
@@ -283,6 +283,59 @@ def test_full_report_orders_instances_as_align_does(keep_punct, cns_all_sentence
     want = reference_counts(gold, pred, keep_punct=keep_punct, cns_all=cns_all_sentences)
     assert found.pop("inst_tok") == pytest.approx(want.pop("inst_tok"))
     assert found == want
+
+
+#: Ways to reassign the instance ids of a sentence of ``n`` instances.
+RENUMBERINGS = {
+    "shuffled": lambda rng, n: rng.sample(range(n), n),
+    "repeated": lambda rng, n: [rng.randrange(3)] * n,
+    "reversed": lambda rng, n: range(n - 1, -1, -1),
+}
+
+
+def _renumbered(rng: random.Random, corpus: Corpus, ids) -> Corpus:
+    sentences = []
+    for sent in corpus.sentences:
+        instances = tuple(
+            replace(inst, instance_id=k) for inst, k in zip(sent.instances, ids(rng, len(sent.instances)))
+        )
+        sentences.append(replace(sent, instances=instances))
+    return replace(corpus, sentences=tuple(sentences))
+
+
+def _alignment_positions(gold: Corpus, pred: Corpus, mode: CueMatchMode) -> list[tuple]:
+    """``align_corpus``'s result with each instance read as its position in
+    its sentence."""
+    gold_at, pred_at = ({id(i): n for s in corpus for n, i in enumerate(s.instances)} for corpus in (gold, pred))
+
+    def at(instances, where):
+        return tuple(where[id(inst)] for inst in instances)
+
+    return [
+        (a.doc_id, a.sent_index, tuple((gold_at[id(g)], pred_at[id(p)]) for g, p in a.matched),
+         at(a.unmatched_gold, gold_at), at(a.unmatched_pred, pred_at), at(a.partial_only_pred, pred_at))
+        for a in align_corpus(gold, pred, mode)
+    ]
+
+
+def _scores(gold: Corpus, pred: Corpus) -> list:
+    """The report bytes of ``full_report`` and of the public functions, and
+    ``align_corpus``'s result read as positions."""
+    found = []
+    for keep_punct in (False, True):
+        options = dict(keep_punct=keep_punct, cns_all_sentences=keep_punct)
+        found.append(full_report(gold, pred, **options).to_json())
+        found.append(_report_from_public_functions(gold, pred, **options).to_json())
+    return found + [_alignment_positions(gold, pred, mode) for mode in CueMatchMode]
+
+
+def test_instance_ids_change_no_score():
+    for seed in range(300):
+        gold, pred = corpus_pair(seed)
+        want = _scores(gold, pred)
+        for name, ids in RENUMBERINGS.items():
+            rng = random.Random(seed)
+            assert _scores(_renumbered(rng, gold, ids), _renumbered(rng, pred, ids)) == want, (seed, name)
 
 
 def test_full_report_raises_the_alignment_error_of_align(gold_corpus):
