@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .conll import _decode, load_sem_conll, write_sem_conll
+from .conll import _decode, _load_gold, _load_prediction, load_sem_conll, write_sem_conll
 from .depgraph import EncodingKind, decode_corpus, encode_corpus
 from .errors import (
     AlignmentError,
@@ -72,9 +72,13 @@ def _sniff_format(path: Path) -> str:
     return "conll"
 
 
+def _format(path: Path, args) -> str:
+    return getattr(args, "format", None) or _sniff_format(path)
+
+
 def _load_corpus(path_text: str, args, tokens_from: Corpus | None = None) -> Corpus:
     path = Path(path_text)
-    fmt = getattr(args, "format", None) or _sniff_format(path)
+    fmt = _format(path, args)
     if fmt == "conll":
         return load_sem_conll(path, tokens_from=tokens_from)
     if fmt == "bioscope":
@@ -98,9 +102,34 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _load_scored(args, pred_paths: tuple[str, ...], strip_gold: bool = False) -> tuple[Corpus, list[Corpus]]:
+    """The gold corpus of ``args.gold`` and each prediction read against it.
+
+    CoNLL predictions of a CoNLL gold are read with ``conll._load_prediction``,
+    whose gold blocks are dropped when this returns; other pairs are read with
+    ``tokens_from`` set to the gold.  With ``strip_gold``, the gold is
+    stripped, and its warnings printed, before any prediction is read.
+    """
+    gold_path = Path(args.gold)
+    blocks = None
+    if _format(gold_path, args) == "conll":
+        gold, blocks = _load_gold(gold_path)
+    else:
+        gold = _load_corpus(args.gold, args)
+    if strip_gold:
+        gold = strip_punctuation(gold)
+    preds = []
+    for path_text in pred_paths:
+        path = Path(path_text)
+        if blocks is not None and _format(path, args) == "conll":
+            preds.append(_load_prediction(path, blocks))
+        else:
+            preds.append(_load_corpus(path_text, args, tokens_from=gold))
+    return gold, preds
+
+
 def cmd_evaluate(args) -> int:
-    gold = _load_corpus(args.gold, args)
-    pred = _load_corpus(args.pred, args, tokens_from=gold)
+    gold, (pred,) = _load_scored(args, (args.pred,))
     report = full_report(
         gold, pred, keep_punct=args.keep_punct, cns_all_sentences=args.cns_all_sentences
     )
@@ -111,11 +140,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    gold = _load_corpus(args.gold, args)
-    if not args.keep_punct:
-        gold = strip_punctuation(gold)
-    pred_a = _load_corpus(args.pred_a, args, tokens_from=gold)
-    pred_b = _load_corpus(args.pred_b, args, tokens_from=gold)
+    gold, (pred_a, pred_b) = _load_scored(args, (args.pred_a, args.pred_b), strip_gold=not args.keep_punct)
     report_a = full_report(gold, pred_a, keep_punct=args.keep_punct)
     report_b = full_report(gold, pred_b, keep_punct=args.keep_punct)
     if args.out == "json":

@@ -11,13 +11,14 @@ sentences.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import IO, Iterator, Sequence
 
 from .errors import ParseError, UsageError
 from .model import AnnotationElement, Corpus, NegationInstance, Sentence, Token, _first_repeat, _instance_faults
-from .model import _punct_flags, _text_fault, element_for
+from .model import _punct_flags, _text_fault, _whole_token, element_for
 
 _FIXED_COLUMNS = 7
 _NO_NEG = "***"
@@ -42,6 +43,9 @@ def _blocks(text: str) -> Iterator[tuple[int, list[str]]]:
     lines = text.split("\n")
     if "\r" in text:
         lines = [line.rstrip("\r") for line in lines]
+    if all(lines) and not any(map(str.isspace, lines)):  # no blank line: one block
+        yield 1, lines
+        return
     start = 0
     for end, line in enumerate(lines):
         if not line or line.isspace():
@@ -77,7 +81,13 @@ def parse_sem_conll(
 
     A sentence whose key is in ``tokens_from`` and whose rows give the same
     tokens as that sentence's reuses its token tuple, so a prediction file
-    read with ``tokens_from=gold`` does not build the gold's tokens again.
+    read with ``tokens_from=gold`` does not build the gold's tokens again;
+    the corpus is equal to one read without it.  ``negeval evaluate`` and
+    ``compare`` read a CoNLL prediction against a CoNLL gold's own blocks
+    instead, with the same corpus and the same errors and lines: a block
+    byte-identical to the gold's block with its key is the gold's sentence,
+    and a block with the gold rows' token cells takes the gold's tokens and
+    has only its annotation cells read.
     """
     text = _decode(data, source)
     known = {} if tokens_from is None else {s.key: s.tokens for s in tokens_from.sentences}
@@ -105,16 +115,19 @@ _token_fields = operator.attrgetter("index", "surface", "lemma", "pos", "is_punc
 _NUMBERS = [str(i) for i in range(256)]
 
 
+def _rows(lines: list[str]) -> list[list[str]]:
+    # Tab-separated is canonical; fall back to whitespace runs for
+    # space-padded variants of the format.
+    return [line.split("\t") if "\t" in line else line.split() for line in lines]
+
+
 def _parse_sentence(
     lines: list[str],
     first_line: int,
     source: str,
     known: dict[tuple[str, int], tuple[Token, ...]],
 ) -> Sentence:
-    # Tab-separated is canonical; fall back to whitespace runs for
-    # space-padded variants of the format.
-    rows = [line.split("\t") if "\t" in line else line.split() for line in lines]
-    first_cols = rows[0]
+    (first_cols,) = _rows(lines[:1])
     width = len(first_cols)
     if width < _FIXED_COLUMNS + 1:
         raise ParseError(
@@ -131,31 +144,34 @@ def _parse_sentence(
     doc_id = first_cols[0]
     sent_no = _parse_int(first_cols[1], source, first_line, "sentence number")
 
-    # Column j is cells[j::width].  Slicing one flat list, rather than
-    # zip(*rows), frees no tuples: CPython 3.11 never reuses a freed
-    # 20-item tuple, so a zip would keep ~0.4 MB of them on a free list.
-    n = len(rows)
-    if len(set(map(len, rows))) != 1:
-        _check_rows(rows, width, has_negation, source, first_line)
-    cells = list(itertools.chain.from_iterable(rows))
-    numbers, surfaces = cells[2::width], cells[3::width]
-    annotation = [cells[j::width] for j in range(_FIXED_COLUMNS, width)]
+    # Column j is cells[j::step] of one flat list of every row's cells, split
+    # at once with a line-feed cell after each row but the last; those cells
+    # fall every ``step`` cells exactly when each row has ``width`` tab-separated
+    # cells.  Slicing one flat list, rather than zip(*rows), frees no tuples:
+    # CPython 3.11 never reuses a freed 20-item tuple, so a zip would keep
+    # ~0.4 MB of them on a free list.
+    n = len(lines)
+    step = width + 1
+    cells = "\t\n\t".join(lines).split("\t")
+    if len(cells) != n * step - 1 or cells[width::step].count("\n") != n - 1:
+        rows = _rows(lines)
+        if len(set(map(len, rows))) != 1:
+            _check_rows(rows, width, has_negation, source, first_line)
+        cells, step = list(itertools.chain.from_iterable(rows)), width
+    numbers, surfaces = cells[2::step], cells[3::step]
+    annotation = [cells[j::step] for j in range(_FIXED_COLUMNS, width)]
     # Checks over whole columns pass for well-formed rows; otherwise the
     # row walk finds the first error, or accepts the rows (a token or
     # sentence number "01", a sentence longer than _NUMBERS).
     if not (
-        cells[0::width].count(doc_id) == n
-        and cells[1::width].count(first_cols[1]) == n
+        cells[0::step].count(doc_id) == n
+        and cells[1::step].count(first_cols[1]) == n
         and numbers == _NUMBERS[:n]
         and all(surfaces)
-        and (
-            not any(_NO_NEG in column for column in annotation)
-            if has_negation
-            else annotation[0].count(_NO_NEG) == n
-        )
+        and _stars_placed(annotation, n)
     ):
-        _check_rows(rows, width, has_negation, source, first_line)
-    lemmas, tags = _optional(cells[4::width]), _optional(cells[5::width])
+        _check_rows(_rows(lines), width, has_negation, source, first_line)
+    lemmas, tags = _optional(cells[4::step]), _optional(cells[5::step])
     puncts = _punct_flags(surfaces, tags)
     tokens = known.get((doc_id, sent_no))
     if tokens is None or list(map(_token_fields, tokens)) != list(
@@ -164,14 +180,31 @@ def _parse_sentence(
         # from a list, the tuple is allocated at its exact size
         tokens = tuple(list(map(Token, range(n), surfaces, lemmas, tags, puncts)))
 
+    return Sentence(doc_id, sent_no, tokens, _negations(annotation, tokens, doc_id, sent_no, source, first_line))
+
+
+def _stars_placed(annotation: list[list[str]], n: int) -> bool:
+    """Whether the ``***`` cells are where the format puts them: in each of
+    the ``n`` rows of a sentence with one annotation column, and in no cell
+    of a sentence with instance columns."""
+    if len(annotation) == 1:
+        return annotation[0].count(_NO_NEG) == n
+    return not any(_NO_NEG in column for column in annotation)
+
+
+def _negations(
+    annotation: list[list[str]], tokens: tuple[Token, ...], doc_id: str, sent_no: int, source: str, first_line: int
+) -> tuple[NegationInstance, ...]:
+    """The instances of a sentence's cue/scope/event cell columns, one row
+    per token from ``first_line``; a single ``***`` column gives none."""
     instances = []
-    for k in range(extra // 3 if has_negation else 0):
+    for k in range(len(annotation) // 3):
         triple = annotation[3 * k : 3 * k + 3]
-        cue, scope, event = _cell_sets(triple, tokens, source, range(first_line, first_line + n))
+        cue, scope, event = _cell_sets(triple, tokens, source, range(first_line, first_line + len(tokens)))
         if not cue:
             raise ParseError(f"instance {k} of {doc_id}#{sent_no} has no cue cell", source, first_line)
         instances.append(NegationInstance(cue, scope, event, k))
-    return Sentence(doc_id, sent_no, tokens, tuple(instances))
+    return tuple(instances)
 
 
 def _optional(column: list[str]) -> list[str | None]:
@@ -190,7 +223,11 @@ def _cell_sets(
     scope, event."""
     try:
         return [
-            frozenset({cell_element(c, tokens[i], source, lines[i]) for i, c in enumerate(column) if c != _EMPTY})
+            frozenset({
+                _whole_token(i) if c == tokens[i].surface else cell_element(c, tokens[i], source, lines[i])
+                for i, c in enumerate(column)
+                if c != _EMPTY
+            })
             for column in columns
         ]
     except ParseError:
@@ -253,6 +290,130 @@ def _parse_int(cell: str, source: str, lineno: int, what: str) -> int:
         return int(cell)
     except ValueError:
         raise ParseError(f"{what} is not an integer: {cell!r}", source, lineno) from None
+
+
+class _GoldBlocks:
+    """A gold CoNLL file as its predictions are read against it: each
+    sentence by the text of its block (its lines joined by line feeds), and
+    that text by the sentence's key."""
+
+    def __init__(self, sentences: dict[str, Sentence], texts: dict[tuple[str, int], str]) -> None:
+        self.sentences = sentences
+        self.texts = texts
+
+    @functools.cached_property
+    def tokens(self) -> dict[tuple[str, int], tuple[Token, ...]]:
+        """Each sentence's tokens by its key, as ``tokens_from`` reuses them."""
+        return {key: self.sentences[text].tokens for key, text in self.texts.items()}
+
+
+def _parse_gold(data: str | bytes | IO, name: str = "", source: str = "<string>") -> tuple[Corpus, _GoldBlocks]:
+    """``parse_sem_conll(data, name, source)``, with the blocks that
+    ``_parse_prediction`` reads prediction files against."""
+    text = _decode(data, source)
+    sentences = []
+    by_text: dict[str, Sentence] = {}
+    by_key: dict[tuple[str, int], str] = {}
+    for first_line, lines in _blocks(text):
+        sent = _parse_sentence(lines, first_line, source, {})
+        sentences.append(sent)
+        block = "\n".join(lines)
+        by_text[block] = sent
+        by_key[sent.doc_id, sent.sent_index] = block
+    _check_keys(sentences, source, text)
+    return Corpus(tuple(sentences), name=name), _GoldBlocks(by_text, by_key)
+
+
+def _parse_prediction(
+    data: str | bytes | IO, gold: _GoldBlocks, name: str = "", source: str = "<string>"
+) -> Corpus:
+    """``parse_sem_conll(data, name, source, tokens_from=...)`` with the
+    gold corpus of ``gold``: the same corpus, or the same first error.
+
+    Each block takes one of three paths.  A block whose text is a gold
+    block's is that gold ``Sentence``.  A block whose rows have the gold
+    rows' seven token cells takes the gold's tokens and reads only its
+    annotation cells (``_reannotated``).  Any other block is read as
+    ``parse_sem_conll`` reads it.
+    """
+    text = _decode(data, source)
+    sentences = []
+    line = 1  # the number of the first line of ``part``
+    # A blank line ends a block, so every part between two line feeds in a
+    # row holds whole blocks; most parts are one gold block's text.
+    for part in text.split("\n\n"):
+        sent = gold.sentences.get(part)
+        if sent is not None:
+            sentences.append(sent)
+            line += len(sent.tokens) + 1
+            continue
+        for first_line, lines in _blocks(part):
+            first_line += line - 1
+            sent = _reannotated(lines, first_line, source, gold)
+            if sent is None:
+                sent = _parse_sentence(lines, first_line, source, gold.tokens)
+            sentences.append(sent)
+        line += part.count("\n") + 2
+    _check_keys(sentences, source, text)
+    return Corpus(tuple(sentences), name=name)
+
+
+def _reannotated(lines: list[str], first_line: int, source: str, gold: _GoldBlocks) -> Sentence | None:
+    """The sentence of a prediction block whose text is a gold block's, or
+    whose rows are the rows of the gold block with its key with other
+    annotation cells; None for any other block, and for a block that
+    ``_parse_sentence`` would reject.
+
+    Such a block has the gold's tokens, and every row check of
+    ``_parse_sentence`` but those of the annotation cells passes, so only
+    those cells are split and read.
+    """
+    block = "\n".join(lines)
+    shared = gold.sentences.get(block)
+    if shared is not None:
+        return shared
+    head = lines[0].split("\t", 2)
+    try:
+        gold_block = gold.texts.get((head[0], int(head[1])))
+    except (IndexError, ValueError):
+        return None
+    if gold_block is None:
+        return None
+    sent = gold.sentences[gold_block]
+    n = len(sent.tokens)
+    # Split off as many cells at the end of each row as the first row has
+    # annotation cells; what is left must be the gold row's token cells.
+    extra = lines[0].count("\t") + 1 - _FIXED_COLUMNS
+    if n != len(lines) or extra < 1:
+        return None
+    step = extra + 1
+    rows = map(str.rsplit, lines, itertools.repeat("\t", n), itertools.repeat(extra, n))
+    cells = list(itertools.chain.from_iterable(rows))
+    # rsplit gives at most ``step`` cells a row, so this many means ``step`` each
+    if len(cells) != n * step or not _same_token_cells(cells[0::step], gold_block, len(sent.instances)):
+        return None
+    annotation = [cells[j::step] for j in range(1, step)]
+    if extra != 1 and extra % 3 or not _stars_placed(annotation, n):
+        return None
+    try:
+        instances = _negations(annotation, sent.tokens, sent.doc_id, sent.sent_index, source, first_line)
+    except ParseError:
+        return None
+    return Sentence(sent.doc_id, sent.sent_index, sent.tokens, instances)
+
+
+def _same_token_cells(heads: list[str], gold_block: str, instances: int) -> bool:
+    """Whether ``heads`` are the seven token cells of each row of
+    ``gold_block``, a gold sentence with ``instances`` negation instances,
+    as written."""
+    if not instances:  # each gold row is its token cells and a "***" cell
+        return gold_block == "\t***\n".join(heads) + "\t***"
+    annotation_cells = 3 * instances
+    n = len(heads)
+    if gold_block.count("\t") != n * (_FIXED_COLUMNS - 1 + annotation_cells):
+        return False  # a gold row is not tab-separated
+    rows = map(str.rsplit, gold_block.split("\n"), itertools.repeat("\t", n), itertools.repeat(annotation_cells, n))
+    return list(map(operator.itemgetter(0), rows)) == heads
 
 
 def write_sem_conll(corpus: Corpus) -> str:
@@ -369,3 +530,16 @@ def load_sem_conll(path, name: str | None = None, *, tokens_from: Corpus | None 
 def dump_sem_conll(corpus: Corpus, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(write_sem_conll(corpus))
+
+
+def _load_gold(path) -> tuple[Corpus, _GoldBlocks]:
+    """``load_sem_conll(path)``, with the blocks that ``_load_prediction``
+    reads prediction files against."""
+    with open(path, "rb") as handle:
+        return _parse_gold(handle, name=str(path), source=str(path))
+
+
+def _load_prediction(path, gold: _GoldBlocks) -> Corpus:
+    """``load_sem_conll(path, tokens_from=...)`` with the gold corpus of ``gold``."""
+    with open(path, "rb") as handle:
+        return _parse_prediction(handle, gold, name=str(path), source=str(path))

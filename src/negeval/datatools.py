@@ -174,14 +174,26 @@ class ReannotationPatch:
         return (self.doc_id, self.sent_index, self.instance_id)
 
 
+def _unknown_target(
+    sentences: dict[tuple[str, int], Sentence], doc_id: str, sent_index: int, instance_id: int
+) -> str | None:
+    """What of a patch target ``sentences`` does not have, as ``unknown
+    sentence cd#99`` or ``unknown instance cd#7/5``, or None: the one rule
+    of which targets exist."""
+    sent = sentences.get((doc_id, sent_index))
+    if sent is None:
+        return f"unknown sentence {doc_id}#{sent_index}"
+    if all(inst.instance_id != instance_id for inst in sent.instances):
+        return f"unknown instance {doc_id}#{sent_index}/{instance_id}"
+    return None
+
+
 def _target_sentence(sentences: dict[tuple[str, int], Sentence], patch: ReannotationPatch) -> Sentence:
     """The sentence ``patch`` targets; a :class:`PatchError` if it or the instance is unknown."""
-    sent = sentences.get((patch.doc_id, patch.sent_index))
-    if sent is None:
-        raise PatchError(f"patch targets unknown sentence {patch.doc_id}#{patch.sent_index}")
-    if all(inst.instance_id != patch.instance_id for inst in sent.instances):
-        raise PatchError(f"patch targets unknown instance {patch.doc_id}#{patch.sent_index}/{patch.instance_id}")
-    return sent
+    unknown = _unknown_target(sentences, *patch.target)
+    if unknown is not None:
+        raise PatchError(f"patch targets {unknown}")
+    return sentences[patch.doc_id, patch.sent_index]
 
 
 def apply_patches(corpus: Corpus, patches: list[ReannotationPatch]) -> Corpus:
@@ -216,7 +228,11 @@ def apply_patches(corpus: Corpus, patches: list[ReannotationPatch]) -> Corpus:
 
 
 def parse_patch_file(text: str, corpus: Corpus, source: str = "<string>") -> list[ReannotationPatch]:
-    """Parse the patch format and bind the replacement cells to ``corpus``."""
+    """Parse the patch format and bind the replacement cells to ``corpus``.
+
+    Raises :class:`ParseError`, with its line, for a malformed line and for
+    a ``target`` line whose sentence or instance ``corpus`` does not have.
+    """
     sentences = {s.key: s for s in corpus.sentences}
     patches: list[ReannotationPatch] = []
     target: tuple[str, int, int] | None = None
@@ -248,8 +264,9 @@ def parse_patch_file(text: str, corpus: Corpus, source: str = "<string>") -> lis
                 except ValueError:
                     raise ParseError("sent_index and instance_id must be integers", source, lineno) from None
                 target_line = lineno
-                if (target[0], target[1]) not in sentences:
-                    raise ParseError(f"unknown sentence {target[0]}#{target[1]}", source, lineno)
+                unknown = _unknown_target(sentences, *target)
+                if unknown is not None:
+                    raise ParseError(unknown, source, lineno)
             elif cols[0] == "replace":
                 if target is None:
                     raise ParseError("replace line before any target line", source, lineno)

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import negeval
-from conftest import fixture_path
-from negeval import load_sem_conll, parse_sem_conll
+from conftest import fixture_path, outputs_under_hash_seeds
+from negeval import Corpus, full_report, load_sem_conll, parse_sem_conll
 from negeval.cli import EXIT_ALIGNMENT, EXIT_GRAPH, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SPLIT, EXIT_USAGE, main
 
 GOLD = str(fixture_path("two_systems_gold.conll"))
@@ -269,6 +269,32 @@ def test_compare_warns_about_the_gold_once_then_each_system(capsys, tmp_path):
     ]
 
 
+def test_byte_identical_prediction_blocks_warn_as_read_blocks_do(tmp_path):
+    words = [("no", "DT"), (",", ","), ("way", "NN"), (".", ".")]
+    paths = {name: tmp_path / f"{name}.conll" for name in ("gold", "a", "b")}
+    # d#0 and d#2 are byte-identical in every file, each with a punctuation-only
+    # cue; d#1 differs, and each system has a punctuation-only cue of its own there
+    gold = [(words, [{0}, {1}]), (words, [{0}]), (words, [{3}, {0}])]
+    a = [gold[0], (words, [{1}, {2}]), gold[2]]
+    b = [gold[0], (words, [{2}, {0}, {3}]), gold[2]]
+    for name, sentences in (("gold", gold), ("a", a), ("b", b)):
+        _write_sentences(paths[name], sentences)
+    gold_path, a_path, b_path = (str(paths[name]) for name in ("gold", "a", "b"))
+
+    def warnings(*dropped):
+        line = "negeval: warning: dropping instance {1} of d#{0}: cue is entirely punctuation\n"
+        return "".join(line.format(*sentence_instance) for sentence_instance in dropped)
+
+    # evaluate: sentence by sentence, the gold's before the prediction's
+    evaluate = ["-m", "negeval.cli", "evaluate", "--gold", gold_path, "--pred", a_path]
+    report = full_report(load_sem_conll(gold_path), load_sem_conll(a_path)).render("text")
+    assert outputs_under_hash_seeds(evaluate) == {(EXIT_OK, report, warnings((0, 1), (0, 1), (1, 0), (2, 0), (2, 0)))}
+    # compare: the gold's once, then system A's, then system B's
+    compare = ["-m", "negeval.cli", "compare", "--gold", gold_path, "--pred-a", a_path, "--pred-b", b_path]
+    ((code, _, err),) = outputs_under_hash_seeds(compare)
+    assert (code, err) == (EXIT_OK, warnings((0, 1), (2, 0), (0, 1), (1, 0), (2, 0), (0, 1), (1, 2), (2, 0)))
+
+
 def test_commands_pause_gc_and_restore_the_callers_state(capsys, monkeypatch, tmp_path):
     seen = []
 
@@ -424,6 +450,18 @@ def test_patch_replacement_without_cue_is_a_parse_error(capsys, tmp_path):
     assert line.startswith("negeval: parse-error:") and f"{patches}:2" in line
 
 
+def test_patch_for_an_unknown_instance_is_a_parse_error_at_its_line(capsys, tmp_path):
+    n_tokens = len(load_sem_conll(GOLD).sentences[0].tokens)
+    patches = tmp_path / "p.patch"
+    patches.write_text(
+        "target\tredcircle01\t0\t5\nreplace\t" + "\t".join(["not"] + ["_"] * (3 * n_tokens - 1)) + "\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "patch", GOLD, "--patches", str(patches))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"negeval: parse-error: {patches}:1: unknown instance redcircle01#0/5\n"
+
+
 def test_instance_without_cue_is_a_parse_error(capsys, tmp_path):
     bad = tmp_path / "no-cue.conll"
     bad.write_text(
@@ -490,25 +528,63 @@ def test_conll_writer_refuses_a_sentence_without_tokens(capsys, tmp_path, source
 
 
 def test_evaluate_reads_predictions_with_the_gold_tokens(capsys, monkeypatch):
-    import negeval.conll
+    import negeval.cli
+    from negeval.conll import _blocks
 
-    calls = []
-    real = negeval.conll.parse_sem_conll
+    scored = []
+    real = negeval.cli.full_report
 
-    def counting(*args, **kwargs):
-        result = real(*args, **kwargs)
-        calls.append((kwargs.get("tokens_from"), result))
-        return result
+    def recording(gold, pred, **options):
+        scored.append((gold, pred))
+        return real(gold, pred, **options)
 
-    monkeypatch.setattr(negeval.conll, "parse_sem_conll", counting)
+    monkeypatch.setattr(negeval.cli, "full_report", recording)
     code, out, _ = run(capsys, "evaluate", "--gold", GOLD, "--pred", SYS_A, "--out", "json")
     assert code == EXIT_OK
-    assert len(calls) == 2
-    (no_tokens, gold), (tokens_from, pred) = calls
-    assert no_tokens is None and tokens_from is gold
+    ((gold, pred),) = scored
+    assert len(pred.sentences) == len(gold.sentences)
     assert all(p.tokens is g.tokens for p, g in zip(pred.sentences, gold.sentences))
-    monkeypatch.undo()
-    assert run(capsys, "evaluate", "--gold", GOLD, "--pred", SYS_A, "--out", "json")[1] == out
+    # a block byte-identical to the gold's is the gold's sentence
+    gold_blocks, pred_blocks = (
+        ["\n".join(lines) for _, lines in _blocks(Path(path).read_text("utf-8"))] for path in (GOLD, SYS_A)
+    )
+    identical = [g == p for g, p in zip(gold_blocks, pred_blocks)]
+    assert any(identical) and not all(identical)
+    assert [p is g for p, g in zip(pred.sentences, gold.sentences)] == identical
+    # the same corpora and report as reading each file on its own
+    assert (gold, pred) == (load_sem_conll(GOLD), load_sem_conll(SYS_A))
+    assert out == real(load_sem_conll(GOLD), load_sem_conll(SYS_A)).render("json")
+
+
+@pytest.mark.parametrize("name", ["bioscope_sample.xml", "sfu_sample.xml"])
+def test_evaluate_against_an_xml_gold_shares_tokens_through_tokens_from(capsys, monkeypatch, tmp_path, name):
+    import negeval.cli
+    from negeval import Sentence, dump_sem_conll, load_bioscope, load_sfu
+
+    gold_path = str(fixture_path(name))
+    gold = (load_bioscope if name.startswith("bioscope") else load_sfu)(gold_path)
+    # the system misses the last instance of the first negated sentence
+    first = next(i for i, sent in enumerate(gold.sentences) if sent.instances)
+    sentences = list(gold.sentences)
+    sent = sentences[first]
+    sentences[first] = Sentence(sent.doc_id, sent.sent_index, sent.tokens, sent.instances[:-1])
+    pred_path = tmp_path / "pred.conll"
+    dump_sem_conll(Corpus(tuple(sentences)), pred_path)
+
+    scored = []
+    real = negeval.cli.full_report
+
+    def recording(gold, pred, **options):
+        scored.append((gold, pred))
+        return real(gold, pred, **options)
+
+    monkeypatch.setattr(negeval.cli, "full_report", recording)
+    code, out, _ = run(capsys, "evaluate", "--gold", gold_path, "--pred", str(pred_path))
+    assert code == EXIT_OK
+    ((read_gold, pred),) = scored
+    assert read_gold == gold
+    assert all(p.tokens is g.tokens for p, g in zip(pred.sentences, read_gold.sentences))
+    assert out == real(gold, load_sem_conll(pred_path)).render("text")
 
 
 def test_compare_json_is_laid_out_as_json_dumps_does(capsys):

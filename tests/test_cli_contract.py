@@ -6,7 +6,10 @@ a tokenizer rule file.  Half of the mutated graphs have the edge cells of
 two rows swapped instead, which the generic mutations rarely get past the
 graph reader.  Each case ends in exit 0, or in the exit code of its
 error category with exactly one ``negeval: <category>: <message>`` line on
-stderr, after any ``negeval: warning:`` lines; never in a traceback.
+stderr, after any ``negeval: warning:`` lines; never in a traceback.  A
+mutated CoNLL file is also evaluated as a prediction against its unmutated
+source, and ``evaluate`` must print what it prints when the prediction is
+read with ``tokens_from``.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from collections import Counter
 import pytest
 
 from conftest import fixture_path
-from negeval import ReannotationPatch, format_patch_file, load_sem_conll
+import negeval.cli
+from negeval import Corpus, ReannotationPatch, format_patch_file, load_sem_conll
 from negeval.cli import _EXIT_CODES, main
 from negeval.depgraph import EncodingKind, encode_corpus
-from test_reader_contract import _mutate
+from test_reader_contract import _edit_annotation, _mutate, _read_counting_paths
 
 SEED = 12
 CASES = 1500
@@ -99,11 +103,33 @@ def _argv(rng: random.Random, template: list[str]) -> list[str]:
     return argv + options
 
 
+def _evaluate_against_source(capsys, gold: str, pred: str, paths: Counter) -> tuple[tuple, tuple]:
+    """``evaluate``'s exit code, stdout and stderr for ``pred`` against
+    ``gold``, as it reads them and with the prediction read with ``tokens_from``."""
+    argv = ["evaluate", "--gold", gold, "--pred", pred]
+    load_prediction = negeval.cli._load_prediction
+
+    def counting(path, blocks):
+        return _read_counting_paths(paths, blocks.sentences.values(), load_prediction, path, blocks)
+
+    def with_tokens_from(path, blocks):
+        return load_sem_conll(path, tokens_from=Corpus(tuple(blocks.sentences.values())))
+
+    outputs = []
+    for read in (counting, with_tokens_from):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(negeval.cli, "_load_prediction", read)
+            code = main(argv)
+        outputs.append((code, *capsys.readouterr()))
+    return outputs[0], outputs[1]
+
+
 def test_every_command_ends_in_exit_0_or_one_documented_error_line(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     texts = _inputs()
-    rng = random.Random(SEED)
+    rng, edits = random.Random(SEED), random.Random(SEED)
     outcomes: Counter[tuple[str, str]] = Counter()
+    paths: Counter[str] = Counter()
     for case in range(CASES):
         template = _COMMANDS[case % len(_COMMANDS)]
         argv = _argv(rng, template)
@@ -115,6 +141,13 @@ def test_every_command_ends_in_exit_0_or_one_documented_error_line(capsys, tmp_p
                 swap = name.endswith(".graph") and rng.random() < 0.5
                 text = _swap_heads(rng, text) if swap else _mutate(rng, text)
             (tmp_path / name).write_text(text, encoding="utf-8", newline="")
+        if mutated.endswith(".conll"):
+            (tmp_path / "source.conll").write_text(texts[mutated], encoding="utf-8", newline="")
+            edited = _edit_annotation(edits, texts[mutated])
+            (tmp_path / "edited.conll").write_text(edited, encoding="utf-8", newline="")
+            for pred in (mutated, "edited.conll"):
+                got, expected = _evaluate_against_source(capsys, "source.conll", pred, paths)
+                assert got == expected, f"case {case}: evaluate {pred} against the source of mutated {mutated}"
         try:
             code = main(argv)
         except Exception as exc:  # noqa: BLE001 - named with its input below
@@ -143,3 +176,5 @@ def test_every_command_ends_in_exit_0_or_one_documented_error_line(capsys, tmp_p
         assert outcomes[kind, "rejected"], kind
     # swapped heads reach the decoder's own check, past the graph reader
     assert outcomes["dep-decode", "graph-error"] > 0, outcomes
+    # mutated predictions reach each path of the reader of an evaluate pair
+    assert all(paths[path] > 100 for path in ("gold sentence", "annotation cells", "whole block")), paths

@@ -1,6 +1,8 @@
 """The CoNLL reader's contract: exact errors and their order, accepted
 variants of the format, the parse/write round trip with affix and
-surface-only punctuation tokens, and token sharing through ``tokens_from``."""
+surface-only punctuation tokens, token sharing through ``tokens_from``, and
+the reading of a prediction against its gold's blocks, which must read as
+``tokens_from`` reads."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from negeval import (
     parse_sem_conll,
     write_sem_conll,
 )
+from negeval.conll import _parse_gold, _parse_prediction
 from negeval.model import is_punct_surface
 from negeval.testing import random_corpus
 
@@ -74,6 +77,11 @@ def error_of(*lines: str) -> str:
             "bad.conll:2: sentence number is not an integer: 'x'",
         ),
         (
+            # rows of 8, 13 and 3 cells: as many as three rows of 8, which would pass every column check
+            [plain(0, "a"), row(*plain(1, "b").split("\t"), "q", "d", "0", "2", "c"), row("x", "y", "***")],
+            "bad.conll:2: expected 8 columns as in the first row of the sentence, found 13",
+        ),
+        (
             [plain(0, "a"), row("d", "0", "one", "b", "b", "X", "_", "***")],
             "bad.conll:2: token number is not an integer: 'one'",
         ),
@@ -106,6 +114,7 @@ def error_of(*lines: str) -> str:
         "other-document",
         "other-sentence",
         "later-sentence-number",
+        "widths-that-add-up",
         "token-number",
         "non-contiguous",
         "empty-surface",
@@ -393,3 +402,63 @@ def test_tokens_from_any_corpus():
     assert parse_sem_conll(GOLD, tokens_from=built).sentences[1].tokens is not built.sentences[0].tokens
     built = Corpus((Sentence("d", 1, (Token(0, "Fine"), Token(1, "!", is_punct=True))),))
     assert parse_sem_conll(GOLD, tokens_from=built).sentences[1].tokens is built.sentences[0].tokens
+
+
+# ---------------------------------------------------------------------------
+# a prediction read against its gold's blocks
+
+_D0, _D1 = GOLD.split("\n\n")
+_ROW = _D0.split("\n")[1]  # d#0's second row, "bad"
+_SPACED = GOLD.replace(_ROW, _ROW.replace("\t", " "))  # that row written with spaces
+_D1_NEGATED = "\n".join(
+    [row("d", "1", "0", "Fine", "_", "_", "_", "Fine", "_", "_"), row("d", "1", "1", "!", "_", "_", "_", "_", "_", "_")]
+)
+_D0_CLEARED = "\n".join(line.rsplit("\t", 3)[0] + "\t***" for line in _D0.split("\n"))
+
+
+@pytest.mark.parametrize(
+    "gold_text, pred_text, gold_sentences",
+    [
+        (GOLD, GOLD, [True, True]),
+        (GOLD, GOLD.replace("\n", "\r\n"), [True, True]),
+        (GOLD, f"\n\n{_D1}\n \n\n{_D0}\n\n\n", [True, True]),  # reordered, with blank lines
+        (GOLD, _D0, [True]),  # a key missing
+        (GOLD, GOLD.replace("\t_\tbad\t_", "\t_\t_\t_"), [False, True]),  # another scope
+        (GOLD, GOLD.replace(_D1, _D1_NEGATED), [True, False]),  # an instance where gold has none
+        (GOLD, GOLD.replace(_D0, _D0_CLEARED), [False, True]),  # no instance where gold has one
+        (GOLD, GOLD.replace("\tbad\tbad\tJJ\t", "\tbads\tbad\tJJ\t"), [False, True]),  # another surface
+        (GOLD, GOLD.replace("\tJJ\t_\t", "\tJJ\tS\t"), [False, True]),  # another syntax cell
+        (GOLD, GOLD.replace("d\t1\t", "d\t01\t"), [True, False]),  # a sentence number written otherwise
+        (GOLD, GOLD.replace("\t", " "), [False, False]),  # space-padded rows
+        (_SPACED, _SPACED, [True, True]),
+        (_SPACED, _SPACED.replace("\tNot\t_\t_", "\tNot\t_\tNot"), [False, True]),
+        (_SPACED, _SPACED.replace(_ROW.replace("\t", " "), _ROW.replace("\t", " ") + "\t_\t_\t_"), None),
+        (GOLD, f"{_D0}\n\n{_D1}\n\n{_D0}", None),  # a repeated key
+        (GOLD, GOLD.replace("\t_\tbad\t_", "\t_\tbad"), None),  # a short row
+        (GOLD, GOLD.replace("\t_\tbad\t_", "\t_\tbax\t_"), None),  # a cell not in its token
+        (GOLD, GOLD.replace("\t_\tbad\t_", "\t***\tbad\t_"), None),  # "***" among instance cells
+        (GOLD, GOLD.replace("\tNot\t_\t_", "\t_\t_\t_"), None),  # an instance without a cue cell
+        (GOLD, GOLD.replace("\t***", "\t_"), None),  # no "***" in a sentence without instances
+        (GOLD, GOLD.replace("\t***", "\t_\t_"), None),  # annotation cells not in triples
+    ],
+)
+def test_a_prediction_read_against_its_gold_reads_as_tokens_from_reads_it(gold_text, pred_text, gold_sentences):
+    gold, blocks = _parse_gold(gold_text)
+    outcomes = []
+    for read in (lambda: _parse_prediction(pred_text, blocks, "p", "p.conll"),
+                 lambda: parse_sem_conll(pred_text, "p", "p.conll", tokens_from=gold)):
+        try:
+            outcomes.append(read())
+        except ParseError as exc:
+            outcomes.append((str(exc), exc.source, exc.line))
+    paired, expected = outcomes
+    assert paired == expected
+    if gold_sentences is None:
+        assert isinstance(paired, tuple)
+        return
+    by_key = {s.key: s for s in gold.sentences}
+    assert [s is by_key[s.key] for s in paired.sentences] == gold_sentences
+    # tokens are shared where tokens_from shares them
+    assert [s.tokens is by_key[s.key].tokens for s in paired.sentences] == [
+        s.tokens is by_key[s.key].tokens for s in expected.sentences
+    ]

@@ -155,6 +155,15 @@ def coordination_sentence():
     return Sentence("cd", 7, tokens, (NegationInstance(cue, scope),))
 
 
+def two_instance_corpus():
+    """The coordination sentence with a copy of its instance, so that patch
+    targets cd#7/0 and cd#7/1 both exist."""
+    sent = coordination_sentence()
+    (inst,) = sent.instances
+    copy = NegationInstance(inst.cue, inst.scope, instance_id=1)
+    return Corpus((Sentence(sent.doc_id, sent.sent_index, sent.tokens, (inst, copy)),))
+
+
 class TestPatches:
     def test_empty_patch_list_is_identity(self, gold_corpus):
         assert apply_patches(gold_corpus, []) == gold_corpus
@@ -282,6 +291,13 @@ class TestPatchFile:
         with pytest.raises(ParseError):
             parse_patch_file(text, corpus)
 
+    def test_unknown_instance_is_a_parse_error_at_its_target_line(self):
+        corpus = Corpus((coordination_sentence(),))
+        text = f"target\tcd\t7\t0\nreplace\t{self._CELLS}\n\ntarget\tcd\t7\t5\nreplace\t{self._CELLS}\n"
+        with pytest.raises(ParseError) as err:
+            parse_patch_file(text, corpus, source="p.patch")
+        assert str(err.value) == "p.patch:4: unknown instance cd#7/5"
+
 
     _CELLS = "\t".join(["Neither", "_", "_", "_", "Mary", "_"] + ["_", "_", "_"] * 4)
 
@@ -297,11 +313,11 @@ class TestPatchFile:
     )
     def test_errors_name_their_line(self, text, message):
         with pytest.raises(ParseError) as err:
-            parse_patch_file(text, Corpus((coordination_sentence(),)), source="p")
+            parse_patch_file(text, two_instance_corpus(), source="p")
         assert str(err.value) == message
 
     def test_blocks_end_at_blank_lines(self):
-        corpus = Corpus((coordination_sentence(),))
+        corpus = two_instance_corpus()
         text = (
             f"# drafts\r\ntarget\tcd\t7\t0\r\nreplace\t{self._CELLS}\r\n\x0c\r\n"
             f"target\tcd\t7\t1\nreplace\t{self._CELLS}\nreplace\t{self._CELLS}\n"

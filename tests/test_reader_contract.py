@@ -5,7 +5,9 @@ nested graphs of ``roundtrip.conll``, all ASCII, so deleting characters
 deletes bytes.  Every reader is the one gate for its input.  An input it accepts gives a
 corpus in which ``validate`` finds no error, so nothing downstream needs to
 check again; an input it rejects raises ``ParseError`` or ``GraphError``,
-never a bare ``ValueError``, ``KeyError`` or ``IndexError``.
+never a bare ``ValueError``, ``KeyError`` or ``IndexError``.  Each mutated
+CoNLL input is also read as a prediction against its unmutated source, as
+``evaluate`` reads it, and must read as ``tokens_from`` reads it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from collections import Counter
 
 import pytest
 
+import negeval.conll
 from conftest import fixture_path
 from negeval import (
     EncodingKind,
@@ -27,6 +30,7 @@ from negeval import (
     parse_sfu,
     validate,
 )
+from negeval.conll import _parse_gold, _parse_prediction
 from negeval.depgraph import decode_corpus, encode_corpus
 
 SEED = 11
@@ -101,3 +105,71 @@ def test_every_reader_accepts_only_valid_corpora_and_rejects_with_its_own_errors
     duplicated = {name for name, outcome in outcomes if outcome == "duplicate"}
     assert {"roundtrip.conll", "bioscope_sample.xml", "roundtrip.direct.graph", "roundtrip.nested.graph"} <= duplicated
     assert outcomes["roundtrip.direct.graph", "GraphError"]
+
+
+def _outcome(read) -> tuple:
+    """``("ok", corpus)``, or the type, text, source and line of the error ``read()`` raises."""
+    try:
+        return ("ok", read())
+    except ParseError as exc:
+        return (type(exc), str(exc), exc.source, exc.line)
+
+
+def _read_counting_paths(paths: Counter, gold_sentences, read, *args):
+    """``read(*args)``, a read of a prediction with ``conll._parse_prediction``,
+    adding to ``paths`` the blocks that each of its three paths read."""
+    gold_ids = set(map(id, gold_sentences))
+    reannotated, parse_sentence = negeval.conll._reannotated, negeval.conll._parse_sentence
+
+    def counting_reannotated(*args):
+        sent = reannotated(*args)
+        paths["annotation cells"] += sent is not None and id(sent) not in gold_ids
+        return sent
+
+    def counting_parse_sentence(*args):
+        paths["whole block"] += 1
+        return parse_sentence(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(negeval.conll, "_reannotated", counting_reannotated)
+        patch.setattr(negeval.conll, "_parse_sentence", counting_parse_sentence)
+        corpus = read(*args)
+    paths["gold sentence"] += sum(id(sent) in gold_ids for sent in corpus.sentences)
+    return corpus
+
+
+def _edit_annotation(rng: random.Random, text: str) -> str:
+    """``text`` with one annotation cell of one row set to ``_``, or to its
+    token's surface when it is ``_``, as a system's output differs from the
+    gold: most such edits read, some leave an instance without a cue or mix
+    a surface with ``***``."""
+    lines = text.split("\n")
+    row = rng.choice([i for i, line in enumerate(lines) if line.count("\t") >= 7])
+    cells = lines[row].split("\t")
+    column = rng.randrange(7, len(cells))
+    cells[column] = cells[3] if cells[column] == "_" else "_"
+    lines[row] = "\t".join(cells)
+    return "\n".join(lines)
+
+
+def test_a_prediction_read_against_its_gold_reads_as_tokens_from_reads_it():
+    rng, edits = random.Random(SEED), random.Random(SEED)
+    inputs = _inputs()
+    paths: Counter[str] = Counter()
+    for case in range(CASES):
+        name, original, read = inputs[case % len(inputs)]
+        mutated = _mutate(rng, original)  # the mutations of the test above, case by case
+        if read is not parse_sem_conll:
+            continue
+        gold, blocks = _parse_gold(original, source="gold")
+        gold_tokens = set(map(id, (s.tokens for s in gold.sentences)))
+        for text in (mutated, _edit_annotation(edits, original)):
+            expected = _outcome(lambda: parse_sem_conll(text, source="pred", tokens_from=gold))
+            got = _outcome(
+                lambda: _read_counting_paths(paths, gold.sentences, _parse_prediction, text, blocks, "", "pred")
+            )
+            assert got == expected, f"case {case}: {name}: {text!r}"
+            if got[0] == "ok":  # tokens are shared where tokens_from shares them
+                shared = [[id(s.tokens) in gold_tokens for s in corpus.sentences] for corpus in (got[1], expected[1])]
+                assert shared[0] == shared[1], f"case {case}: {name}: {text!r}"
+    assert all(paths[path] > 100 for path in ("gold sentence", "annotation cells", "whole block")), paths
