@@ -76,11 +76,11 @@ def _format(path: Path, args) -> str:
     return getattr(args, "format", None) or _sniff_format(path)
 
 
-def _load_corpus(path_text: str, args, tokens_from: Corpus | None = None) -> Corpus:
+def _load_corpus(path_text: str, args) -> Corpus:
     path = Path(path_text)
     fmt = _format(path, args)
     if fmt == "conll":
-        return load_sem_conll(path, tokens_from=tokens_from)
+        return load_sem_conll(path)
     if fmt == "bioscope":
         from .bioscope import load_bioscope
         from .tokenizer import TokenizerConfig
@@ -106,9 +106,11 @@ def _load_scored(args, pred_paths: tuple[str, ...], strip_gold: bool = False) ->
     """The gold corpus of ``args.gold`` and each prediction read against it.
 
     CoNLL predictions of a CoNLL gold are read with ``conll._load_prediction``,
-    whose gold blocks are dropped when this returns; other pairs are read with
-    ``tokens_from`` set to the gold.  With ``strip_gold``, the gold is
-    stripped, and its warnings printed, before any prediction is read.
+    which shares the gold's sentences and tokens where the prediction repeats
+    them; its gold blocks are dropped when this returns.  Any other
+    prediction is read on its own, as ``_load_corpus`` reads it.  With
+    ``strip_gold``, the gold is stripped, and its warnings printed, before
+    any prediction is read.
     """
     gold_path = Path(args.gold)
     blocks = None
@@ -124,7 +126,7 @@ def _load_scored(args, pred_paths: tuple[str, ...], strip_gold: bool = False) ->
         if blocks is not None and _format(path, args) == "conll":
             preds.append(_load_prediction(path, blocks))
         else:
-            preds.append(_load_corpus(path_text, args, tokens_from=gold))
+            preds.append(_load_corpus(path_text, args))
     return gold, preds
 
 

@@ -11,7 +11,6 @@ sentences.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from typing import IO, Iterator, Sequence
@@ -65,13 +64,7 @@ def cell_element(cell: str, token: Token, source: str, lineno: int) -> Annotatio
     return AnnotationElement(token.index, cell)
 
 
-def parse_sem_conll(
-    data: str | bytes | IO,
-    name: str = "",
-    source: str = "<string>",
-    *,
-    tokens_from: Corpus | None = None,
-) -> Corpus:
+def parse_sem_conll(data: str | bytes | IO, name: str = "", source: str = "<string>") -> Corpus:
     """Parse CoNLL negation data into a :class:`Corpus`.
 
     Raises :class:`ParseError` (with line numbers) for ragged column counts,
@@ -79,19 +72,15 @@ def parse_sem_conll(
     cells mixed with instance cells, instances without a cue cell and a
     sentence key that an earlier sentence has.
 
-    A sentence whose key is in ``tokens_from`` and whose rows give the same
-    tokens as that sentence's reuses its token tuple, so a prediction file
-    read with ``tokens_from=gold`` does not build the gold's tokens again;
-    the corpus is equal to one read without it.  ``negeval evaluate`` and
-    ``compare`` read a CoNLL prediction against a CoNLL gold's own blocks
-    instead, with the same corpus and the same errors and lines: a block
-    byte-identical to the gold's block with its key is the gold's sentence,
-    and a block with the gold rows' token cells takes the gold's tokens and
-    has only its annotation cells read.
+    ``negeval evaluate`` and ``compare`` read a CoNLL prediction against a
+    CoNLL gold's own blocks instead, with the same corpus and the same
+    errors and lines: a block byte-identical to the gold's block with its
+    key is the gold's sentence, a block with the gold rows' token cells
+    takes the gold's tokens and has only its annotation cells read, and any
+    other block is read as here.
     """
     text = _decode(data, source)
-    known = {} if tokens_from is None else {s.key: s.tokens for s in tokens_from.sentences}
-    sentences = [_parse_sentence(lines, first_line, source, known) for first_line, lines in _blocks(text)]
+    sentences = [_parse_sentence(lines, first_line, source) for first_line, lines in _blocks(text)]
     _check_keys(sentences, source, text)
     return Corpus(tuple(sentences), name=name)
 
@@ -108,9 +97,6 @@ def _check_keys(sentences: list[Sentence], source: str, text: str | None = None)
         raise ParseError(f"duplicate sentence key {sentences[position].key}", source, line)
 
 
-_token_fields = operator.attrgetter("index", "surface", "lemma", "pos", "is_punct")
-
-
 #: The token-number column as written, for sentences of up to 256 tokens.
 _NUMBERS = [str(i) for i in range(256)]
 
@@ -121,12 +107,7 @@ def _rows(lines: list[str]) -> list[list[str]]:
     return [line.split("\t") if "\t" in line else line.split() for line in lines]
 
 
-def _parse_sentence(
-    lines: list[str],
-    first_line: int,
-    source: str,
-    known: dict[tuple[str, int], tuple[Token, ...]],
-) -> Sentence:
+def _parse_sentence(lines: list[str], first_line: int, source: str) -> Sentence:
     (first_cols,) = _rows(lines[:1])
     width = len(first_cols)
     if width < _FIXED_COLUMNS + 1:
@@ -173,12 +154,8 @@ def _parse_sentence(
         _check_rows(_rows(lines), width, has_negation, source, first_line)
     lemmas, tags = _optional(cells[4::step]), _optional(cells[5::step])
     puncts = _punct_flags(surfaces, tags)
-    tokens = known.get((doc_id, sent_no))
-    if tokens is None or list(map(_token_fields, tokens)) != list(
-        zip(range(n), surfaces, lemmas, tags, puncts)
-    ):
-        # from a list, the tuple is allocated at its exact size
-        tokens = tuple(list(map(Token, range(n), surfaces, lemmas, tags, puncts)))
+    # from a list, the tuple is allocated at its exact size
+    tokens = tuple(list(map(Token, range(n), surfaces, lemmas, tags, puncts)))
 
     return Sentence(doc_id, sent_no, tokens, _negations(annotation, tokens, doc_id, sent_no, source, first_line))
 
@@ -301,11 +278,6 @@ class _GoldBlocks:
         self.sentences = sentences
         self.texts = texts
 
-    @functools.cached_property
-    def tokens(self) -> dict[tuple[str, int], tuple[Token, ...]]:
-        """Each sentence's tokens by its key, as ``tokens_from`` reuses them."""
-        return {key: self.sentences[text].tokens for key, text in self.texts.items()}
-
 
 def _parse_gold(data: str | bytes | IO, name: str = "", source: str = "<string>") -> tuple[Corpus, _GoldBlocks]:
     """``parse_sem_conll(data, name, source)``, with the blocks that
@@ -315,7 +287,7 @@ def _parse_gold(data: str | bytes | IO, name: str = "", source: str = "<string>"
     by_text: dict[str, Sentence] = {}
     by_key: dict[tuple[str, int], str] = {}
     for first_line, lines in _blocks(text):
-        sent = _parse_sentence(lines, first_line, source, {})
+        sent = _parse_sentence(lines, first_line, source)
         sentences.append(sent)
         block = "\n".join(lines)
         by_text[block] = sent
@@ -327,14 +299,14 @@ def _parse_gold(data: str | bytes | IO, name: str = "", source: str = "<string>"
 def _parse_prediction(
     data: str | bytes | IO, gold: _GoldBlocks, name: str = "", source: str = "<string>"
 ) -> Corpus:
-    """``parse_sem_conll(data, name, source, tokens_from=...)`` with the
-    gold corpus of ``gold``: the same corpus, or the same first error.
+    """``parse_sem_conll(data, name, source)``, read against the blocks of
+    ``gold``: an equal corpus, or the same first error.
 
     Each block takes one of three paths.  A block whose text is a gold
     block's is that gold ``Sentence``.  A block whose rows have the gold
     rows' seven token cells takes the gold's tokens and reads only its
     annotation cells (``_reannotated``).  Any other block is read as
-    ``parse_sem_conll`` reads it.
+    ``parse_sem_conll`` reads it, with tokens of its own.
     """
     text = _decode(data, source)
     sentences = []
@@ -351,7 +323,7 @@ def _parse_prediction(
             first_line += line - 1
             sent = _reannotated(lines, first_line, source, gold)
             if sent is None:
-                sent = _parse_sentence(lines, first_line, source, gold.tokens)
+                sent = _parse_sentence(lines, first_line, source)
             sentences.append(sent)
         line += part.count("\n") + 2
     _check_keys(sentences, source, text)
@@ -517,14 +489,9 @@ def _check_token_rows(sent: Sentence, rows: list[str], tabs: int) -> None:
             )
 
 
-def load_sem_conll(path, name: str | None = None, *, tokens_from: Corpus | None = None) -> Corpus:
+def load_sem_conll(path, name: str | None = None) -> Corpus:
     with open(path, "rb") as handle:
-        return parse_sem_conll(
-            handle,
-            name=name if name is not None else str(path),
-            source=str(path),
-            tokens_from=tokens_from,
-        )
+        return parse_sem_conll(handle, name=name if name is not None else str(path), source=str(path))
 
 
 def dump_sem_conll(corpus: Corpus, path) -> None:
@@ -540,6 +507,6 @@ def _load_gold(path) -> tuple[Corpus, _GoldBlocks]:
 
 
 def _load_prediction(path, gold: _GoldBlocks) -> Corpus:
-    """``load_sem_conll(path, tokens_from=...)`` with the gold corpus of ``gold``."""
+    """``load_sem_conll(path)``, read against the blocks of ``gold``."""
     with open(path, "rb") as handle:
         return _parse_prediction(handle, gold, name=str(path), source=str(path))

@@ -175,24 +175,33 @@ class ReannotationPatch:
 
 
 def _unknown_target(
-    sentences: dict[tuple[str, int], Sentence], doc_id: str, sent_index: int, instance_id: int
+    sentences: dict[tuple[str, int], Sentence], taken: set[tuple[str, int, int]], target: tuple[str, int, int]
 ) -> str | None:
-    """What of a patch target ``sentences`` does not have, as ``unknown
-    sentence cd#99`` or ``unknown instance cd#7/5``, or None: the one rule
-    of which targets exist."""
+    """What of ``target`` is not there for a patch, as ``unknown sentence
+    cd#99``, ``unknown instance cd#7/5`` or, for a target in ``taken`` (an
+    earlier patch's), ``two patches target instance cd#7/5``; None, after
+    adding ``target`` to ``taken``, when it is there.  The one rule of which
+    targets a list of patches may have."""
+    doc_id, sent_index, instance_id = target
     sent = sentences.get((doc_id, sent_index))
     if sent is None:
         return f"unknown sentence {doc_id}#{sent_index}"
     if all(inst.instance_id != instance_id for inst in sent.instances):
         return f"unknown instance {doc_id}#{sent_index}/{instance_id}"
+    if target in taken:
+        return f"two patches target instance {doc_id}#{sent_index}/{instance_id}"
+    taken.add(target)
     return None
 
 
-def _target_sentence(sentences: dict[tuple[str, int], Sentence], patch: ReannotationPatch) -> Sentence:
-    """The sentence ``patch`` targets; a :class:`PatchError` if it or the instance is unknown."""
-    unknown = _unknown_target(sentences, *patch.target)
+def _target_sentence(
+    sentences: dict[tuple[str, int], Sentence], taken: set[tuple[str, int, int]], patch: ReannotationPatch
+) -> Sentence:
+    """The sentence ``patch`` targets; a :class:`PatchError` if ``_unknown_target`` finds its target not there."""
+    unknown = _unknown_target(sentences, taken, patch.target)
     if unknown is not None:
-        raise PatchError(f"patch targets {unknown}")
+        # "two patches target ..." says what a patch targets; "unknown ..." does not
+        raise PatchError(unknown if unknown.startswith("two ") else f"patch targets {unknown}")
     return sentences[patch.doc_id, patch.sent_index]
 
 
@@ -203,13 +212,11 @@ def apply_patches(corpus: Corpus, patches: list[ReannotationPatch]) -> Corpus:
     exist or is an earlier patch's.  Patches with distinct targets commute.
     """
     sentences = {s.key: s for s in corpus.sentences}
+    taken: set[tuple[str, int, int]] = set()
     by_sentence: dict[tuple[str, int], dict[int, ReannotationPatch]] = {}
     for patch in patches:
-        _target_sentence(sentences, patch)
-        slot = by_sentence.setdefault((patch.doc_id, patch.sent_index), {})
-        if patch.instance_id in slot:
-            raise PatchError(f"two patches target instance {patch.target}")
-        slot[patch.instance_id] = patch
+        _target_sentence(sentences, taken, patch)
+        by_sentence.setdefault((patch.doc_id, patch.sent_index), {})[patch.instance_id] = patch
 
     out = []
     for sent in corpus.sentences:
@@ -230,10 +237,12 @@ def apply_patches(corpus: Corpus, patches: list[ReannotationPatch]) -> Corpus:
 def parse_patch_file(text: str, corpus: Corpus, source: str = "<string>") -> list[ReannotationPatch]:
     """Parse the patch format and bind the replacement cells to ``corpus``.
 
-    Raises :class:`ParseError`, with its line, for a malformed line and for
-    a ``target`` line whose sentence or instance ``corpus`` does not have.
+    Raises :class:`ParseError`, with its line, for a malformed line, for a
+    ``target`` line whose sentence or instance ``corpus`` does not have, and
+    for a ``target`` line that repeats an earlier one's target.
     """
     sentences = {s.key: s for s in corpus.sentences}
+    taken: set[tuple[str, int, int]] = set()
     patches: list[ReannotationPatch] = []
     target: tuple[str, int, int] | None = None
     replacements: list[NegationInstance] = []
@@ -264,7 +273,7 @@ def parse_patch_file(text: str, corpus: Corpus, source: str = "<string>") -> lis
                 except ValueError:
                     raise ParseError("sent_index and instance_id must be integers", source, lineno) from None
                 target_line = lineno
-                unknown = _unknown_target(sentences, *target)
+                unknown = _unknown_target(sentences, taken, target)
                 if unknown is not None:
                     raise ParseError(unknown, source, lineno)
             elif cols[0] == "replace":
@@ -295,12 +304,13 @@ def format_patch_file(corpus: Corpus, patches: list[ReannotationPatch]) -> str:
     :class:`UsageError` for the document ids, instances and cells that
     ``write_sem_conll`` refuses, and for a patch without a replacement."""
     sentences = {s.key: s for s in corpus.sentences}
+    taken: set[tuple[str, int, int]] = set()
     blocks = []
     for patch in patches:
-        sent = _target_sentence(sentences, patch)
-        _check_doc_id(sent)
         if not patch.replacement:
             raise UsageError(f"cannot write the patch of {patch.target}: it has no replacement instance")
+        sent = _target_sentence(sentences, taken, patch)
+        _check_doc_id(sent)
         lines = [f"target\t{patch.doc_id}\t{patch.sent_index}\t{patch.instance_id}"]
         columns = _cell_columns(sent, patch.replacement)
         for k in range(0, len(columns), 3):

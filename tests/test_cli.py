@@ -11,7 +11,7 @@ import pytest
 
 import negeval
 from conftest import fixture_path, outputs_under_hash_seeds
-from negeval import Corpus, full_report, load_sem_conll, parse_sem_conll
+from negeval import Corpus, full_report, load_sem_conll, parse_sem_conll, strip_punctuation
 from negeval.cli import EXIT_ALIGNMENT, EXIT_GRAPH, EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SPLIT, EXIT_USAGE, main
 
 GOLD = str(fixture_path("two_systems_gold.conll"))
@@ -450,16 +450,23 @@ def test_patch_replacement_without_cue_is_a_parse_error(capsys, tmp_path):
     assert line.startswith("negeval: parse-error:") and f"{patches}:2" in line
 
 
-def test_patch_for_an_unknown_instance_is_a_parse_error_at_its_line(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "instance_id, message",
+    [(5, "unknown instance redcircle01#0/5"), (0, "two patches target instance redcircle01#0/0")],
+    ids=["unknown-instance", "repeated"],
+)
+def test_patch_with_a_refused_target_is_a_parse_error_at_its_line(capsys, tmp_path, instance_id, message):
     n_tokens = len(load_sem_conll(GOLD).sentences[0].tokens)
+    cells = ["_"] * (3 * n_tokens)
+    cells[3] = "not"  # the cue cell of token 1
+    replace = "replace\t" + "\t".join(cells) + "\n"
     patches = tmp_path / "p.patch"
     patches.write_text(
-        "target\tredcircle01\t0\t5\nreplace\t" + "\t".join(["not"] + ["_"] * (3 * n_tokens - 1)) + "\n",
-        encoding="utf-8",
+        f"target\tredcircle01\t0\t0\n{replace}\ntarget\tredcircle01\t0\t{instance_id}\n{replace}", encoding="utf-8"
     )
     code, out, err = run(capsys, "patch", GOLD, "--patches", str(patches))
     assert (code, out) == (EXIT_PARSE, "")
-    assert err == f"negeval: parse-error: {patches}:1: unknown instance redcircle01#0/5\n"
+    assert err == f"negeval: parse-error: {patches}:4: {message}\n"
 
 
 def test_instance_without_cue_is_a_parse_error(capsys, tmp_path):
@@ -557,7 +564,7 @@ def test_evaluate_reads_predictions_with_the_gold_tokens(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["bioscope_sample.xml", "sfu_sample.xml"])
-def test_evaluate_against_an_xml_gold_shares_tokens_through_tokens_from(capsys, monkeypatch, tmp_path, name):
+def test_evaluate_against_an_xml_gold_reads_the_prediction_on_its_own(capsys, monkeypatch, tmp_path, name):
     import negeval.cli
     from negeval import Sentence, dump_sem_conll, load_bioscope, load_sfu
 
@@ -582,9 +589,17 @@ def test_evaluate_against_an_xml_gold_shares_tokens_through_tokens_from(capsys, 
     code, out, _ = run(capsys, "evaluate", "--gold", gold_path, "--pred", str(pred_path))
     assert code == EXIT_OK
     ((read_gold, pred),) = scored
-    assert read_gold == gold
-    assert all(p.tokens is g.tokens for p, g in zip(pred.sentences, read_gold.sentences))
+    assert (read_gold, pred) == (gold, load_sem_conll(pred_path))
     assert out == real(gold, load_sem_conll(pred_path)).render("text")
+
+
+def test_compare_json_is_the_reports_of_plain_reads(capsys):
+    code, out, _ = run(capsys, "compare", "--gold", GOLD, "--pred-a", SYS_A, "--pred-b", SYS_B, "--out", "json")
+    assert code == EXIT_OK
+    gold = strip_punctuation(load_sem_conll(GOLD))  # once, as compare strips it
+    reports = [full_report(gold, load_sem_conll(path)) for path in (SYS_A, SYS_B)]
+    payload = json.loads(out)
+    assert (payload["system_a"], payload["system_b"]) == tuple(r._payload() for r in reports)
 
 
 def test_compare_json_is_laid_out_as_json_dumps_does(capsys):

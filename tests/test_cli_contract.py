@@ -9,7 +9,7 @@ error category with exactly one ``negeval: <category>: <message>`` line on
 stderr, after any ``negeval: warning:`` lines; never in a traceback.  A
 mutated CoNLL file is also evaluated as a prediction against its unmutated
 source, and ``evaluate`` must print what it prints when the prediction is
-read with ``tokens_from``.
+read on its own with ``load_sem_conll``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 
 from conftest import fixture_path
 import negeval.cli
-from negeval import Corpus, ReannotationPatch, format_patch_file, load_sem_conll
+from negeval import ReannotationPatch, format_patch_file, load_sem_conll
 from negeval.cli import _EXIT_CODES, main
 from negeval.depgraph import EncodingKind, encode_corpus
 from test_reader_contract import _edit_annotation, _mutate, _read_counting_paths
@@ -103,20 +103,20 @@ def _argv(rng: random.Random, template: list[str]) -> list[str]:
     return argv + options
 
 
-def _evaluate_against_source(capsys, gold: str, pred: str, paths: Counter) -> tuple[tuple, tuple]:
+def _evaluate_paired_and_plain(capsys, gold: str, pred: str, paths: Counter) -> tuple[tuple, tuple]:
     """``evaluate``'s exit code, stdout and stderr for ``pred`` against
-    ``gold``, as it reads them and with the prediction read with ``tokens_from``."""
+    ``gold``, as it reads them and with the prediction read on its own."""
     argv = ["evaluate", "--gold", gold, "--pred", pred]
     load_prediction = negeval.cli._load_prediction
 
     def counting(path, blocks):
         return _read_counting_paths(paths, blocks.sentences.values(), load_prediction, path, blocks)
 
-    def with_tokens_from(path, blocks):
-        return load_sem_conll(path, tokens_from=Corpus(tuple(blocks.sentences.values())))
+    def plain(path, blocks):
+        return load_sem_conll(path)
 
     outputs = []
-    for read in (counting, with_tokens_from):
+    for read in (counting, plain):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(negeval.cli, "_load_prediction", read)
             code = main(argv)
@@ -146,7 +146,7 @@ def test_every_command_ends_in_exit_0_or_one_documented_error_line(capsys, tmp_p
             edited = _edit_annotation(edits, texts[mutated])
             (tmp_path / "edited.conll").write_text(edited, encoding="utf-8", newline="")
             for pred in (mutated, "edited.conll"):
-                got, expected = _evaluate_against_source(capsys, "source.conll", pred, paths)
+                got, expected = _evaluate_paired_and_plain(capsys, "source.conll", pred, paths)
                 assert got == expected, f"case {case}: evaluate {pred} against the source of mutated {mutated}"
         try:
             code = main(argv)

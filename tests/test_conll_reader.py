@@ -1,13 +1,13 @@
 """The CoNLL reader's contract: exact errors and their order, accepted
 variants of the format, the parse/write round trip with affix and
-surface-only punctuation tokens, token sharing through ``tokens_from``, and
-the reading of a prediction against its gold's blocks, which must read as
-``tokens_from`` reads."""
+surface-only punctuation tokens, and the reading of a prediction against
+its gold's blocks, which must read as ``parse_sem_conll`` reads the
+prediction on its own."""
 
 from __future__ import annotations
 
-import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,6 +24,7 @@ from negeval import (
 from negeval.conll import _parse_gold, _parse_prediction
 from negeval.model import is_punct_surface
 from negeval.testing import random_corpus
+from test_reader_contract import _outcome, _read_counting_paths
 
 
 def row(*cols):
@@ -339,8 +340,7 @@ def test_parse_write_round_trip_with_affixes_and_surface_punctuation():
 
 
 # ---------------------------------------------------------------------------
-# tokens_from
-
+# a prediction read against its gold's blocks
 
 GOLD = "\n".join(
     [
@@ -353,59 +353,6 @@ GOLD = "\n".join(
     ]
 )
 
-
-def test_equal_rows_reuse_the_token_tuple():
-    gold = parse_sem_conll(GOLD)
-    pred_text = GOLD.replace("\t_\tbad\t_", "\t_\t_\t_")
-    pred = parse_sem_conll(pred_text, tokens_from=gold)
-    assert [p.tokens is g.tokens for p, g in zip(pred.sentences, gold.sentences)] == [True, True]
-    assert pred == parse_sem_conll(pred_text)
-
-
-@pytest.mark.parametrize(
-    "old, new",
-    [
-        ("\tbad\tbad\tJJ\t", "\tbads\tbad\tJJ\t"),  # surface
-        ("\tbad\tbad\tJJ\t", "\tbad\tBad\tJJ\t"),  # lemma
-        ("\tbad\tbad\tJJ\t", "\tbad\tbad\tNN\t"),  # POS
-        ("\t.\t.\t.\t", "\t.\t.\tNN\t"),  # POS, and with it is_punct
-        ("\tbad\tbad\tJJ\t", "\tbad\t_\tJJ\t"),  # lemma missing
-        ("\n" + row("d", "0", "2", ".", ".", ".", "_", "_", "_", "_"), ""),  # length
-        ("d\t0\t", "d\t7\t"),  # key not in tokens_from
-    ],
-    ids=["surface", "lemma", "pos", "punct", "no-lemma", "length", "missing-key"],
-)
-def test_different_rows_get_fresh_tokens(old, new):
-    gold = parse_sem_conll(GOLD)
-    pred_text = GOLD.replace(old, new)
-    assert pred_text != GOLD
-    pred = parse_sem_conll(pred_text, tokens_from=gold)
-    assert pred.sentences[0].tokens is not gold.sentences[0].tokens
-    assert pred.sentences[1].tokens is gold.sentences[1].tokens
-    assert pred == parse_sem_conll(pred_text)
-
-
-def test_punctuation_tags_take_part_in_the_comparison():
-    gold = parse_sem_conll(GOLD)
-    first, second = gold.sentences
-    # a corpus built in Python may flag tokens otherwise than the reader does
-    not_punct = tuple(dataclasses.replace(t, is_punct=False) for t in first.tokens)
-    built = Corpus((dataclasses.replace(first, tokens=not_punct), second))
-    pred = parse_sem_conll(GOLD, tokens_from=built)
-    assert pred.sentences[0].tokens is not built.sentences[0].tokens  # "." is punctuation by its tag
-    assert pred.sentences[1].tokens is second.tokens
-    assert pred == gold
-
-
-def test_tokens_from_any_corpus():
-    built = Corpus((Sentence("d", "1", (Token(0, "Fine"), Token(1, "!", is_punct=True))),))
-    assert parse_sem_conll(GOLD, tokens_from=built).sentences[1].tokens is not built.sentences[0].tokens
-    built = Corpus((Sentence("d", 1, (Token(0, "Fine"), Token(1, "!", is_punct=True))),))
-    assert parse_sem_conll(GOLD, tokens_from=built).sentences[1].tokens is built.sentences[0].tokens
-
-
-# ---------------------------------------------------------------------------
-# a prediction read against its gold's blocks
 
 _D0, _D1 = GOLD.split("\n\n")
 _ROW = _D0.split("\n")[1]  # d#0's second row, "bad"
@@ -440,25 +387,23 @@ _D0_CLEARED = "\n".join(line.rsplit("\t", 3)[0] + "\t***" for line in _D0.split(
         (GOLD, GOLD.replace("\tNot\t_\t_", "\t_\t_\t_"), None),  # an instance without a cue cell
         (GOLD, GOLD.replace("\t***", "\t_"), None),  # no "***" in a sentence without instances
         (GOLD, GOLD.replace("\t***", "\t_\t_"), None),  # annotation cells not in triples
+        # token cells other than the gold's: the block is read with tokens of its own
+        (GOLD, GOLD.replace("\tbad\tbad\tJJ\t", "\tbad\tBad\tJJ\t"), [False, True]),  # lemma
+        (GOLD, GOLD.replace("\tbad\tbad\tJJ\t", "\tbad\tbad\tNN\t"), [False, True]),  # POS
+        (GOLD, GOLD.replace("\t.\t.\t.\t", "\t.\t.\tNN\t"), [False, True]),  # POS, and with it is_punct
+        (GOLD, GOLD.replace("\tbad\tbad\tJJ\t", "\tbad\t_\tJJ\t"), [False, True]),  # lemma missing
+        (GOLD, GOLD.replace("\n" + row("d", "0", "2", ".", ".", ".", "_", "_", "_", "_"), ""), [False, True]),  # length
+        (GOLD, GOLD.replace("d\t0\t", "d\t7\t"), [False, True]),  # a key not in the gold
     ],
 )
-def test_a_prediction_read_against_its_gold_reads_as_tokens_from_reads_it(gold_text, pred_text, gold_sentences):
+def test_a_prediction_read_against_its_gold_reads_as_parse_sem_conll_reads_it(gold_text, pred_text, gold_sentences):
     gold, blocks = _parse_gold(gold_text)
-    outcomes = []
-    for read in (lambda: _parse_prediction(pred_text, blocks, "p", "p.conll"),
-                 lambda: parse_sem_conll(pred_text, "p", "p.conll", tokens_from=gold)):
-        try:
-            outcomes.append(read())
-        except ParseError as exc:
-            outcomes.append((str(exc), exc.source, exc.line))
-    paired, expected = outcomes
-    assert paired == expected
+    paired = _outcome(
+        lambda: _read_counting_paths(Counter(), gold.sentences, _parse_prediction, pred_text, blocks, "p", "p.conll")
+    )
+    assert paired == _outcome(lambda: parse_sem_conll(pred_text, "p", "p.conll"))
     if gold_sentences is None:
-        assert isinstance(paired, tuple)
+        assert paired[0] is ParseError
         return
     by_key = {s.key: s for s in gold.sentences}
-    assert [s is by_key[s.key] for s in paired.sentences] == gold_sentences
-    # tokens are shared where tokens_from shares them
-    assert [s.tokens is by_key[s.key].tokens for s in paired.sentences] == [
-        s.tokens is by_key[s.key].tokens for s in expected.sentences
-    ]
+    assert [s is by_key.get(s.key) for s in paired[1].sentences] == gold_sentences

@@ -276,14 +276,19 @@ class TestPatchFile:
             format_patch_file(corpus, [ReannotationPatch("cd", 99, 0, patch.replacement)])
         assert str(err.value) == "patch targets unknown sentence cd#99"
 
-    def test_a_patch_for_an_unknown_instance_is_neither_written_nor_applied(self):
+    @pytest.mark.parametrize(
+        "instance_id, message",
+        [(5, "patch targets unknown instance cd#7/5"), (0, "two patches target instance cd#7/0")],
+        ids=["unknown-instance", "repeated"],
+    )
+    def test_a_refused_target_is_neither_written_nor_applied(self, instance_id, message):
         corpus = Corpus((coordination_sentence(),))
         (patch,) = detect_coordination_cues(corpus)
-        unknown = ReannotationPatch("cd", 7, 5, patch.replacement)
+        second = ReannotationPatch("cd", 7, instance_id, patch.replacement)
         for call in (format_patch_file, apply_patches):
             with pytest.raises(PatchError) as err:
-                call(corpus, [patch, unknown])
-            assert str(err.value) == "patch targets unknown instance cd#7/5"
+                call(corpus, [patch, second])
+            assert str(err.value) == message
 
     def test_unknown_sentence_is_a_parse_error(self):
         corpus = Corpus((coordination_sentence(),))
@@ -291,12 +296,17 @@ class TestPatchFile:
         with pytest.raises(ParseError):
             parse_patch_file(text, corpus)
 
-    def test_unknown_instance_is_a_parse_error_at_its_target_line(self):
+    @pytest.mark.parametrize(
+        "instance_id, message",
+        [(5, "p.patch:4: unknown instance cd#7/5"), (0, "p.patch:4: two patches target instance cd#7/0")],
+        ids=["unknown-instance", "repeated"],
+    )
+    def test_a_refused_target_is_a_parse_error_at_its_target_line(self, instance_id, message):
         corpus = Corpus((coordination_sentence(),))
-        text = f"target\tcd\t7\t0\nreplace\t{self._CELLS}\n\ntarget\tcd\t7\t5\nreplace\t{self._CELLS}\n"
+        text = f"target\tcd\t7\t0\nreplace\t{self._CELLS}\n\ntarget\tcd\t7\t{instance_id}\nreplace\t{self._CELLS}\n"
         with pytest.raises(ParseError) as err:
             parse_patch_file(text, corpus, source="p.patch")
-        assert str(err.value) == "p.patch:4: unknown instance cd#7/5"
+        assert str(err.value) == message
 
 
     _CELLS = "\t".join(["Neither", "_", "_", "_", "Mary", "_"] + ["_", "_", "_"] * 4)
