@@ -12,12 +12,11 @@ sentences.
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import IO, Iterator, Sequence
 
 from .errors import ParseError, UsageError
 from .model import AnnotationElement, Corpus, NegationInstance, Sentence, Token, _first_repeat, _instance_faults
-from .model import _punct_flags, _text_fault, _whole_token, element_for
+from .model import _text_fault, _token_faults, _tokens, _whole_token, element_for
 
 _FIXED_COLUMNS = 7
 _NO_NEG = "***"
@@ -74,10 +73,10 @@ def parse_sem_conll(data: str | bytes | IO, name: str = "", source: str = "<stri
 
     ``negeval evaluate`` and ``compare`` read a CoNLL prediction against a
     CoNLL gold's own blocks instead, with the same corpus and the same
-    errors and lines: a block byte-identical to the gold's block with its
-    key is the gold's sentence, a block with the gold rows' token cells
-    takes the gold's tokens and has only its annotation cells read, and any
-    other block is read as here.
+    errors and lines: a block byte-identical to a gold block is the gold's
+    sentence, and any other block is read as here, taking the tokens of the
+    gold sentence with its key when its surface, lemma and POS columns are
+    that sentence's.
     """
     text = _decode(data, source)
     sentences = [_parse_sentence(lines, first_line, source) for first_line, lines in _blocks(text)]
@@ -107,7 +106,13 @@ def _rows(lines: list[str]) -> list[list[str]]:
     return [line.split("\t") if "\t" in line else line.split() for line in lines]
 
 
-def _parse_sentence(lines: list[str], first_line: int, source: str) -> Sentence:
+def _parse_sentence(
+    lines: list[str], first_line: int, source: str, gold: dict[tuple[str, int], Sentence] | None = None
+) -> Sentence:
+    """The sentence of one block, whose first line is ``first_line``.  A
+    block whose key is in ``gold`` and whose surface, lemma and POS columns
+    are those of the gold sentence with that key has that sentence's token
+    tuple; any other block has tokens of its own."""
     (first_cols,) = _rows(lines[:1])
     width = len(first_cols)
     if width < _FIXED_COLUMNS + 1:
@@ -153,10 +158,15 @@ def _parse_sentence(lines: list[str], first_line: int, source: str) -> Sentence:
     ):
         _check_rows(_rows(lines), width, has_negation, source, first_line)
     lemmas, tags = _optional(cells[4::step]), _optional(cells[5::step])
-    puncts = _punct_flags(surfaces, tags)
-    # from a list, the tuple is allocated at its exact size
-    tokens = tuple(list(map(Token, range(n), surfaces, lemmas, tags, puncts)))
-
+    shared = None if gold is None else gold.get((doc_id, sent_no))
+    if shared is not None and (
+        [t.surface for t in shared.tokens] == surfaces
+        and [t.lemma for t in shared.tokens] == lemmas
+        and [t.pos for t in shared.tokens] == tags
+    ):
+        tokens = shared.tokens
+    else:
+        tokens = _tokens(surfaces, lemmas, tags)
     return Sentence(doc_id, sent_no, tokens, _negations(annotation, tokens, doc_id, sent_no, source, first_line))
 
 
@@ -272,11 +282,11 @@ def _parse_int(cell: str, source: str, lineno: int, what: str) -> int:
 class _GoldBlocks:
     """A gold CoNLL file as its predictions are read against it: each
     sentence by the text of its block (its lines joined by line feeds), and
-    that text by the sentence's key."""
+    by its key."""
 
-    def __init__(self, sentences: dict[str, Sentence], texts: dict[tuple[str, int], str]) -> None:
+    def __init__(self, sentences: dict[str, Sentence], by_key: dict[tuple[str, int], Sentence]) -> None:
         self.sentences = sentences
-        self.texts = texts
+        self.by_key = by_key
 
 
 def _parse_gold(data: str | bytes | IO, name: str = "", source: str = "<string>") -> tuple[Corpus, _GoldBlocks]:
@@ -285,15 +295,12 @@ def _parse_gold(data: str | bytes | IO, name: str = "", source: str = "<string>"
     text = _decode(data, source)
     sentences = []
     by_text: dict[str, Sentence] = {}
-    by_key: dict[tuple[str, int], str] = {}
     for first_line, lines in _blocks(text):
         sent = _parse_sentence(lines, first_line, source)
         sentences.append(sent)
-        block = "\n".join(lines)
-        by_text[block] = sent
-        by_key[sent.doc_id, sent.sent_index] = block
+        by_text["\n".join(lines)] = sent
     _check_keys(sentences, source, text)
-    return Corpus(tuple(sentences), name=name), _GoldBlocks(by_text, by_key)
+    return Corpus(tuple(sentences), name=name), _GoldBlocks(by_text, {s.key: s for s in sentences})
 
 
 def _parse_prediction(
@@ -302,11 +309,9 @@ def _parse_prediction(
     """``parse_sem_conll(data, name, source)``, read against the blocks of
     ``gold``: an equal corpus, or the same first error.
 
-    Each block takes one of three paths.  A block whose text is a gold
-    block's is that gold ``Sentence``.  A block whose rows have the gold
-    rows' seven token cells takes the gold's tokens and reads only its
-    annotation cells (``_reannotated``).  Any other block is read as
-    ``parse_sem_conll`` reads it, with tokens of its own.
+    A block whose text is a gold block's is that gold ``Sentence``, found
+    with one lookup.  Any other block is read by ``_parse_sentence``, which
+    takes the gold's tokens where the block's token columns are the gold's.
     """
     text = _decode(data, source)
     sentences = []
@@ -320,72 +325,15 @@ def _parse_prediction(
             line += len(sent.tokens) + 1
             continue
         for first_line, lines in _blocks(part):
-            first_line += line - 1
-            sent = _reannotated(lines, first_line, source, gold)
+            # a part that is not a gold block's text may still hold one,
+            # after blank lines of spaces or before the file's last line feed
+            sent = gold.sentences.get("\n".join(lines))
             if sent is None:
-                sent = _parse_sentence(lines, first_line, source)
+                sent = _parse_sentence(lines, first_line + line - 1, source, gold.by_key)
             sentences.append(sent)
         line += part.count("\n") + 2
     _check_keys(sentences, source, text)
     return Corpus(tuple(sentences), name=name)
-
-
-def _reannotated(lines: list[str], first_line: int, source: str, gold: _GoldBlocks) -> Sentence | None:
-    """The sentence of a prediction block whose text is a gold block's, or
-    whose rows are the rows of the gold block with its key with other
-    annotation cells; None for any other block, and for a block that
-    ``_parse_sentence`` would reject.
-
-    Such a block has the gold's tokens, and every row check of
-    ``_parse_sentence`` but those of the annotation cells passes, so only
-    those cells are split and read.
-    """
-    block = "\n".join(lines)
-    shared = gold.sentences.get(block)
-    if shared is not None:
-        return shared
-    head = lines[0].split("\t", 2)
-    try:
-        gold_block = gold.texts.get((head[0], int(head[1])))
-    except (IndexError, ValueError):
-        return None
-    if gold_block is None:
-        return None
-    sent = gold.sentences[gold_block]
-    n = len(sent.tokens)
-    # Split off as many cells at the end of each row as the first row has
-    # annotation cells; what is left must be the gold row's token cells.
-    extra = lines[0].count("\t") + 1 - _FIXED_COLUMNS
-    if n != len(lines) or extra < 1:
-        return None
-    step = extra + 1
-    rows = map(str.rsplit, lines, itertools.repeat("\t", n), itertools.repeat(extra, n))
-    cells = list(itertools.chain.from_iterable(rows))
-    # rsplit gives at most ``step`` cells a row, so this many means ``step`` each
-    if len(cells) != n * step or not _same_token_cells(cells[0::step], gold_block, len(sent.instances)):
-        return None
-    annotation = [cells[j::step] for j in range(1, step)]
-    if extra != 1 and extra % 3 or not _stars_placed(annotation, n):
-        return None
-    try:
-        instances = _negations(annotation, sent.tokens, sent.doc_id, sent.sent_index, source, first_line)
-    except ParseError:
-        return None
-    return Sentence(sent.doc_id, sent.sent_index, sent.tokens, instances)
-
-
-def _same_token_cells(heads: list[str], gold_block: str, instances: int) -> bool:
-    """Whether ``heads`` are the seven token cells of each row of
-    ``gold_block``, a gold sentence with ``instances`` negation instances,
-    as written."""
-    if not instances:  # each gold row is its token cells and a "***" cell
-        return gold_block == "\t***\n".join(heads) + "\t***"
-    annotation_cells = 3 * instances
-    n = len(heads)
-    if gold_block.count("\t") != n * (_FIXED_COLUMNS - 1 + annotation_cells):
-        return False  # a gold row is not tab-separated
-    rows = map(str.rsplit, gold_block.split("\n"), itertools.repeat("\t", n), itertools.repeat(annotation_cells, n))
-    return list(map(operator.itemgetter(0), rows)) == heads
 
 
 def write_sem_conll(corpus: Corpus) -> str:
@@ -393,15 +341,18 @@ def write_sem_conll(corpus: Corpus) -> str:
 
     Sub-span elements are written as their substring text, whole-token
     elements as the full surface; sentences without instances get the
-    single ``***`` cell.  Raises :class:`UsageError` for an instance that
-    ``validate`` finds at fault, for a set with two elements on one token,
-    for a document id or cell holding a tab, line feed or carriage return,
-    and for a sentence without tokens, which the layout cannot represent.
+    single ``***`` cell.  Raises :class:`UsageError` for a token, instance
+    or repeated sentence key that ``validate`` finds at fault, for a set
+    with two elements on one token, for an element written as ``_`` or
+    ``***``, for a document id or cell holding a tab, line feed or carriage
+    return, and for a sentence without tokens, which the layout cannot
+    represent.
     """
     blocks = []
     for sent in corpus.sentences:
         if not sent.tokens:
             raise UsageError(f"cannot write sentence {sent.key}: it has no tokens")
+        _check_tokens(sent)
         head = f"{sent.doc_id}\t{sent.sent_index}"
         tail = "" if sent.instances else f"\t{_NO_NEG}"
         rows = [
@@ -415,6 +366,7 @@ def write_sem_conll(corpus: Corpus) -> str:
         annotation_cells = 3 * len(sent.instances) or 1  # the triples, or "***"
         _check_block(sent, block, rows, _FIXED_COLUMNS + annotation_cells - 1)
         blocks.append(block)
+    _check_distinct_keys(corpus.sentences)
     if not blocks:
         return ""
     return "\n\n".join(blocks) + "\n"
@@ -423,22 +375,44 @@ def write_sem_conll(corpus: Corpus) -> str:
 def _cell_columns(sent: Sentence, instances: tuple[NegationInstance, ...]) -> list[list[str]]:
     """The cue, scope and event cells of each of ``instances``, one column
     each, on the tokens of ``sent``.  Raises a UsageError for an instance
-    that ``model._instance_faults`` rejects, and for a set with two elements
-    on one token, which one cell cannot hold."""
+    that ``model._instance_faults`` rejects, for a set with two elements on
+    one token, which one cell cannot hold, and for an element whose cell
+    would be ``_`` or ``***``, which the reader takes for no element."""
     _check_instances(sent, instances)
     columns = []
     for inst in instances:
         for elements in (inst.cue, inst.scope, inst.event):
             cells = {e.token_index: e.effective_text(sent.tokens[e.token_index]) for e in elements}
+            k, which = divmod(len(columns), 3)
+            which = ("cue", "scope", "event")[which]
             if len(cells) != len(elements):
-                k, which = divmod(len(columns), 3)
                 token = min(i for i in cells if sum(e.token_index == i for e in elements) > 1)
                 raise UsageError(
-                    f"cannot write sentence {sent.key}: instance {k} has two "
-                    f"{('cue', 'scope', 'event')[which]} elements on token {token}"
+                    f"cannot write sentence {sent.key}: instance {k} has two {which} elements on token {token}"
+                )
+            if _EMPTY in cells.values() or _NO_NEG in cells.values():
+                token, cell = min((i, c) for i, c in cells.items() if c in (_EMPTY, _NO_NEG))
+                raise UsageError(
+                    f"cannot write sentence {sent.key}: instance {k} has a {which} element on token {token} "
+                    f"written as {cell!r}, which the format reserves"
                 )
             columns.append([cells.get(t.index, _EMPTY) for t in sent.tokens])
     return columns
+
+
+def _check_tokens(sent: Sentence) -> None:
+    """The writers' check of tokens: raise a UsageError for the first of ``model._token_faults``."""
+    faults = _token_faults(sent.tokens)
+    if faults:
+        raise UsageError(f"cannot write sentence {sent.key}: {faults[0][1]}")
+
+
+def _check_distinct_keys(sentences: Sequence[Sentence]) -> None:
+    """The writers' check of keys: raise a UsageError for the first sentence
+    whose key an earlier one has."""
+    position = _first_repeat([(s.doc_id, s.sent_index) for s in sentences])
+    if position is not None:
+        raise UsageError(f"cannot write sentence {sentences[position].key}: an earlier sentence has its key")
 
 
 def _check_instances(sent: Sentence, instances: tuple[NegationInstance, ...]) -> None:

@@ -24,7 +24,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .conll import _blocks, _cell_columns, _cell_sets, _check_doc_id, _check_token_rows
+from .conll import _blocks, _cell_columns, _cell_sets, _check_doc_id, _check_token_rows, _check_tokens
 from .errors import ParseError, PatchError, SplitError, UsageError
 from .model import Corpus, NegationInstance, Sentence, _punct_indices, _records, renumber
 
@@ -301,8 +301,8 @@ def parse_patch_file(text: str, corpus: Corpus, source: str = "<string>") -> lis
 def format_patch_file(corpus: Corpus, patches: list[ReannotationPatch]) -> str:
     """Render patches in the line-oriented patch format.  Raises
     :class:`PatchError` for a target that ``apply_patches`` rejects, and
-    :class:`UsageError` for the document ids, instances and cells that
-    ``write_sem_conll`` refuses, and for a patch without a replacement."""
+    :class:`UsageError` for the document ids, tokens, instances and cells
+    that ``write_sem_conll`` refuses, and for a patch without a replacement."""
     sentences = {s.key: s for s in corpus.sentences}
     taken: set[tuple[str, int, int]] = set()
     blocks = []
@@ -311,6 +311,7 @@ def format_patch_file(corpus: Corpus, patches: list[ReannotationPatch]) -> str:
             raise UsageError(f"cannot write the patch of {patch.target}: it has no replacement instance")
         sent = _target_sentence(sentences, taken, patch)
         _check_doc_id(sent)
+        _check_tokens(sent)
         lines = [f"target\t{patch.doc_id}\t{patch.sent_index}\t{patch.instance_id}"]
         columns = _cell_columns(sent, patch.replacement)
         for k in range(0, len(columns), 3):

@@ -26,7 +26,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 
-from .conll import _blocks, _check_block, _check_instances, _check_keys
+from .conll import _blocks, _check_block, _check_distinct_keys, _check_instances, _check_keys, _check_tokens
 from .errors import GraphError, ParseError
 from .model import Corpus, Diagnostic, NegationInstance, Sentence, _tokens, _whole_token
 
@@ -258,8 +258,10 @@ def decode(graph: NegDepGraph, kind: EncodingKind) -> list[NegationInstance]:
 
 
 def format_graph(sentence: Sentence, graph: NegDepGraph) -> str:
-    """Serialise one sentence's graph.  Raises :class:`UsageError` when a
-    surface or the document id holds a tab, line feed or carriage return."""
+    """Serialise one sentence's graph.  Raises :class:`UsageError` for a
+    token that ``validate`` finds at fault, and when a surface or the
+    document id holds a tab, line feed or carriage return."""
+    _check_tokens(sentence)
     by_dep: dict[int, list[tuple[int, str]]] = {}
     for edge in graph.edges:
         head = 0 if edge.head is None else edge.head + 1
@@ -275,7 +277,11 @@ def format_graph(sentence: Sentence, graph: NegDepGraph) -> str:
 
 
 def encode_corpus(corpus: Corpus, kind: EncodingKind, diagnostics: list[Diagnostic] | None = None) -> str:
+    """Encode and serialise every sentence of ``corpus``.  Raises what
+    ``encode`` and ``format_graph`` raise, and a :class:`UsageError` for a
+    sentence key that an earlier sentence has."""
     blocks = [format_graph(s, encode(s, kind, diagnostics)) for s in corpus.sentences]
+    _check_distinct_keys(corpus.sentences)
     return ("\n\n".join(blocks) + "\n") if blocks else ""
 
 

@@ -177,4 +177,4 @@ def test_every_command_ends_in_exit_0_or_one_documented_error_line(capsys, tmp_p
     # swapped heads reach the decoder's own check, past the graph reader
     assert outcomes["dep-decode", "graph-error"] > 0, outcomes
     # mutated predictions reach each path of the reader of an evaluate pair
-    assert all(paths[path] > 100 for path in ("gold sentence", "annotation cells", "whole block")), paths
+    assert all(paths[path] > 100 for path in ("gold sentence", "gold tokens", "own tokens")), paths

@@ -407,3 +407,16 @@ def test_a_prediction_read_against_its_gold_reads_as_parse_sem_conll_reads_it(go
         return
     by_key = {s.key: s for s in gold.sentences}
     assert [s is by_key.get(s.key) for s in paired[1].sentences] == gold_sentences
+
+
+@pytest.mark.parametrize(
+    "pred_text",
+    [GOLD.replace("\tJJ\t_\t", "\tJJ\tS\t"), GOLD.replace("d\t1\t", "d\t01\t")],
+    ids=["another syntax cell", "a sentence number written otherwise"],
+)
+def test_a_block_with_the_gold_surface_lemma_and_pos_columns_shares_the_gold_tokens(pred_text):
+    gold, blocks = _parse_gold(GOLD)
+    paired = _parse_prediction(pred_text, blocks)
+    assert paired == parse_sem_conll(pred_text)
+    assert [p.tokens is g.tokens for p, g in zip(paired.sentences, gold.sentences)] == [True, True]
+    assert [p is g for p, g in zip(paired.sentences, gold.sentences)].count(False) == 1

@@ -1,9 +1,12 @@
-"""The CoNLL and graph writers: byte equality with row-by-row reference
-writers, and refusal of cells the formats cannot hold."""
+"""The CoNLL, patch and graph writers: byte equality with row-by-row
+reference writers, refusal of cells the formats cannot hold, and the
+contract that a writer refuses a corpus or writes text that its reader
+reads back equal."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -17,15 +20,17 @@ from negeval import (
     Sentence,
     Token,
     UsageError,
+    apply_patches,
     element_for,
     format_patch_file,
+    parse_patch_file,
     parse_sem_conll,
     validate,
     write_sem_conll,
 )
-from negeval.depgraph import EncodingKind, encode, encode_corpus, format_graph
+from negeval.depgraph import EncodingKind, decode_corpus, encode, encode_corpus, format_graph, parse_graph_corpus
 from negeval.errors import GraphError
-from negeval.model import renumber
+from negeval.model import _punct_flags, renumber
 from negeval.testing import random_sentence
 from test_reference_scorer import corpus_pair
 
@@ -288,3 +293,118 @@ def test_the_writers_name_one_fault_under_every_hash_seed():
         "annotation cell 'q' is not a substring of token 'abc'"
     )
     assert outputs_under_hash_seeds(["-c", script]) == {(0, f"{message}\n" * 3, "")}
+
+
+# ---------------------------------------------------------------------------
+# The writer contract: refuse with a UsageError, or write text that the
+# matching reader reads back equal
+
+
+_INJECTIONS = (None, "reserved surface", "reserved affix", "index", "empty surface", "repeated key")
+_RESERVED = ("_", "***")
+
+
+def _token(token: Token, surface: str | None = None, index: int | None = None) -> Token:
+    """``token`` with another surface or index, and punctuation as a reader decides it."""
+    surface = token.surface if surface is None else surface
+    index = token.index if index is None else index
+    return Token(index, surface, token.lemma, token.pos, _punct_flags([surface], [token.pos])[0])
+
+
+def _inject(rng: random.Random, corpus: Corpus, injection: str | None) -> Corpus:
+    """``corpus`` with one sentence given a token the readers reject, an
+    element whose CoNLL cell is ``_`` or ``***``, or the key of another."""
+    sentences = list(corpus.sentences)
+    n = rng.randrange(len(sentences))
+    sent = sentences[n]
+    tokens, instances = list(sent.tokens), list(sent.instances)
+    i = rng.randrange(len(tokens))
+    elements = [e for inst in instances for e in (*inst.cue, *inst.scope, *inst.event)]
+    if injection == "reserved surface":  # on a token without affix elements, which it would break
+        affixed = {e.token_index for e in elements if e.text is not None}
+        plain = [t.index for t in tokens if t.index not in affixed]
+        if plain:
+            i = rng.choice(plain)
+            tokens[i] = _token(tokens[i], surface=rng.choice(_RESERVED))
+    elif injection == "reserved affix":  # a new instance on a token in no cue, so no graph refuses it
+        cued = {e.token_index for inst in instances for e in inst.cue}
+        free = [t.index for t in tokens if t.index not in cued]
+        if free:
+            i, reserved = rng.choice(free), rng.choice(_RESERVED)
+            tokens[i] = _token(tokens[i], surface=tokens[i].surface + reserved)
+            instances.append(NegationInstance(frozenset({AnnotationElement(i, reserved)}), instance_id=len(instances)))
+    elif injection == "index":
+        tokens[i] = _token(tokens[i], index=i + rng.choice((-1, 1, len(tokens))))
+    elif injection == "empty surface":
+        tokens[i] = _token(tokens[i], surface="")
+    elif injection == "repeated key":
+        donor = rng.choice(sentences)
+        sentences.insert(rng.randint(n + 1, len(sentences)), Sentence(*sent.key, donor.tokens, donor.instances))
+    sentences[n] = Sentence(sent.doc_id, sent.sent_index, tuple(tokens), tuple(instances))
+    return Corpus(tuple(sentences))
+
+
+def _conll_reads_back(corpus: Corpus, text: str) -> bool:
+    # the format numbers instances by position
+    expected = [Sentence(*s.key, s.tokens, renumber(s.instances)) for s in corpus.sentences]
+    return list(parse_sem_conll(text).sentences) == expected
+
+
+def _patches(corpus: Corpus) -> list[ReannotationPatch]:
+    """A patch for each sentence that a patch can target, replacing its
+    first instance with all of its instances."""
+    by_key = {s.key: s for s in corpus.sentences}
+    return [ReannotationPatch(*s.key, s.instances[0].instance_id, s.instances) for s in by_key.values() if s.instances]
+
+
+def _graphs_read_back(corpus: Corpus, kind: EncodingKind, text: str) -> bool:
+    """Whether the graph reader reads back the surfaces and graphs written.
+    A direct graph must also decode; a nested graph of overlapping scopes
+    may hold a cycle, as ``encode`` warns with ``nested-lossy``."""
+    if kind is EncodingKind.DIRECT:
+        decode_corpus(text, kind)
+    expected = [(s.doc_id, s.sent_index, s.surfaces(), encode(s, kind)) for s in corpus.sentences]
+    return parse_graph_corpus(text) == expected
+
+
+def test_every_writer_refuses_a_corpus_or_writes_what_its_reader_reads_back_equal():
+    outcomes: Counter[tuple[str, str | None, str]] = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        for clean in corpus_pair(seed):
+            injection = rng.choice(_INJECTIONS)
+            corpus = _inject(rng, clean, injection)
+            patches = _patches(corpus)
+            writers = {
+                "conll": (lambda c=corpus: write_sem_conll(c), lambda text, c=corpus: _conll_reads_back(c, text)),
+                "patch": (
+                    lambda c=corpus: format_patch_file(c, patches),
+                    lambda text, c=corpus: apply_patches(c, parse_patch_file(text, c)) == apply_patches(c, patches),
+                ),
+            }
+            for kind in EncodingKind:  # on the sentences whose instances have representatives of their own
+                writers[kind.value] = (
+                    lambda c=corpus, kind=kind: encode_corpus(_encodable(c, kind), kind),
+                    lambda text, c=corpus, kind=kind: _graphs_read_back(_encodable(c, kind), kind, text),
+                )
+            for name, (write, reads_back) in writers.items():
+                try:
+                    text = write()
+                except UsageError as exc:
+                    assert str(exc).startswith("cannot write "), (seed, injection, name, str(exc))
+                    outcomes[name, injection, "refused"] += 1
+                    continue
+                assert reads_back(text), f"seed {seed}: {injection}: {name} wrote {text!r}"
+                outcomes[name, injection, "read back"] += 1
+    for name in ("conll", "patch", "direct", "nested"):
+        assert not outcomes[name, None, "refused"], name
+        for injection in ("index", "empty surface"):
+            assert outcomes[name, injection, "refused"], (name, injection)
+    # the CoNLL cells "_" and "***" mark no element; a graph writes any surface
+    for injection in ("reserved surface", "reserved affix"):
+        for name in ("conll", "patch"):
+            assert outcomes[name, injection, "refused"] and outcomes[name, injection, "read back"], (name, injection)
+        for name in ("direct", "nested"):
+            assert not outcomes[name, injection, "refused"], (name, injection)
+    for name in ("conll", "direct", "nested"):
+        assert outcomes[name, "repeated key", "refused"], name
