@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .conll import _decode, _load_gold, _load_prediction, load_sem_conll, write_sem_conll
+from .conll import _decode, _load_paired, load_sem_conll, write_sem_conll
 from .depgraph import EncodingKind, decode_corpus, encode_corpus
 from .errors import (
     AlignmentError,
@@ -105,17 +105,18 @@ def _emit(args, text: str) -> None:
 def _load_scored(args, pred_paths: tuple[str, ...], strip_gold: bool = False) -> tuple[Corpus, list[Corpus]]:
     """The gold corpus of ``args.gold`` and each prediction read against it.
 
-    CoNLL predictions of a CoNLL gold are read with ``conll._load_prediction``,
-    which shares the gold's sentences and tokens where the prediction repeats
-    them; its gold blocks are dropped when this returns.  Any other
-    prediction is read on its own, as ``_load_corpus`` reads it.  With
-    ``strip_gold``, the gold is stripped, and its warnings printed, before
-    any prediction is read.
+    A CoNLL gold and its CoNLL predictions are read with
+    ``conll._load_paired``: the gold against no blocks, each prediction
+    against the gold's blocks, so that it shares the gold's sentences and
+    tokens where it repeats them; the gold's blocks are dropped when this
+    returns.  Any other prediction is read on its own, as ``_load_corpus``
+    reads it.  With ``strip_gold``, the gold is stripped, and its warnings
+    printed, before any prediction is read.
     """
     gold_path = Path(args.gold)
     blocks = None
     if _format(gold_path, args) == "conll":
-        gold, blocks = _load_gold(gold_path)
+        gold, blocks = _load_paired(gold_path, {})
     else:
         gold = _load_corpus(args.gold, args)
     if strip_gold:
@@ -124,7 +125,7 @@ def _load_scored(args, pred_paths: tuple[str, ...], strip_gold: bool = False) ->
     for path_text in pred_paths:
         path = Path(path_text)
         if blocks is not None and _format(path, args) == "conll":
-            preds.append(_load_prediction(path, blocks))
+            preds.append(_load_paired(path, blocks)[0])
         else:
             preds.append(_load_corpus(path_text, args))
     return gold, preds

@@ -279,61 +279,32 @@ def _parse_int(cell: str, source: str, lineno: int, what: str) -> int:
         raise ParseError(f"{what} is not an integer: {cell!r}", source, lineno) from None
 
 
-class _GoldBlocks:
-    """A gold CoNLL file as its predictions are read against it: each
-    sentence by the text of its block (its lines joined by line feeds), and
-    by its key."""
+def _parse_paired(
+    data: str | bytes | IO, gold: dict[str, Sentence], name: str = "", source: str = "<string>"
+) -> tuple[Corpus, dict[str, Sentence]]:
+    """``parse_sem_conll(data, name, source)``, read against ``gold``, the
+    sentences of a gold file by the text of their blocks (lines joined by
+    line feeds): an equal corpus, or the same first error.
 
-    def __init__(self, sentences: dict[str, Sentence], by_key: dict[tuple[str, int], Sentence]) -> None:
-        self.sentences = sentences
-        self.by_key = by_key
-
-
-def _parse_gold(data: str | bytes | IO, name: str = "", source: str = "<string>") -> tuple[Corpus, _GoldBlocks]:
-    """``parse_sem_conll(data, name, source)``, with the blocks that
-    ``_parse_prediction`` reads prediction files against."""
-    text = _decode(data, source)
-    sentences = []
-    by_text: dict[str, Sentence] = {}
-    for first_line, lines in _blocks(text):
-        sent = _parse_sentence(lines, first_line, source)
-        sentences.append(sent)
-        by_text["\n".join(lines)] = sent
-    _check_keys(sentences, source, text)
-    return Corpus(tuple(sentences), name=name), _GoldBlocks(by_text, {s.key: s for s in sentences})
-
-
-def _parse_prediction(
-    data: str | bytes | IO, gold: _GoldBlocks, name: str = "", source: str = "<string>"
-) -> Corpus:
-    """``parse_sem_conll(data, name, source)``, read against the blocks of
-    ``gold``: an equal corpus, or the same first error.
-
-    A block whose text is a gold block's is that gold ``Sentence``, found
-    with one lookup.  Any other block is read by ``_parse_sentence``, which
-    takes the gold's tokens where the block's token columns are the gold's.
+    A block whose text is a key of ``gold`` is that gold ``Sentence``.  Any
+    other block is read by ``_parse_sentence``, which takes the tokens of
+    the gold sentence with its key where the block's token columns are that
+    sentence's.  Returns the corpus and its sentences that are not in
+    ``gold``, by the text of their blocks: read with ``{}``, a gold file
+    gives the map that its predictions are read against.
     """
     text = _decode(data, source)
+    by_key = {s.key: s for s in gold.values()}
     sentences = []
-    line = 1  # the number of the first line of ``part``
-    # A blank line ends a block, so every part between two line feeds in a
-    # row holds whole blocks; most parts are one gold block's text.
-    for part in text.split("\n\n"):
-        sent = gold.sentences.get(part)
-        if sent is not None:
-            sentences.append(sent)
-            line += len(sent.tokens) + 1
-            continue
-        for first_line, lines in _blocks(part):
-            # a part that is not a gold block's text may still hold one,
-            # after blank lines of spaces or before the file's last line feed
-            sent = gold.sentences.get("\n".join(lines))
-            if sent is None:
-                sent = _parse_sentence(lines, first_line + line - 1, source, gold.by_key)
-            sentences.append(sent)
-        line += part.count("\n") + 2
+    own: dict[str, Sentence] = {}
+    for first_line, lines in _blocks(text):
+        block = "\n".join(lines)
+        sent = gold.get(block)
+        if sent is None:
+            sent = own[block] = _parse_sentence(lines, first_line, source, by_key)
+        sentences.append(sent)
     _check_keys(sentences, source, text)
-    return Corpus(tuple(sentences), name=name)
+    return Corpus(tuple(sentences), name=name), own
 
 
 def write_sem_conll(corpus: Corpus) -> str:
@@ -473,14 +444,7 @@ def dump_sem_conll(corpus: Corpus, path) -> None:
         handle.write(write_sem_conll(corpus))
 
 
-def _load_gold(path) -> tuple[Corpus, _GoldBlocks]:
-    """``load_sem_conll(path)``, with the blocks that ``_load_prediction``
-    reads prediction files against."""
+def _load_paired(path, gold: dict[str, Sentence]) -> tuple[Corpus, dict[str, Sentence]]:
+    """``_parse_paired`` of the file at ``path``, named as ``load_sem_conll`` names it."""
     with open(path, "rb") as handle:
-        return _parse_gold(handle, name=str(path), source=str(path))
-
-
-def _load_prediction(path, gold: _GoldBlocks) -> Corpus:
-    """``load_sem_conll(path)``, read against the blocks of ``gold``."""
-    with open(path, "rb") as handle:
-        return _parse_prediction(handle, gold, name=str(path), source=str(path))
+        return _parse_paired(handle, gold, name=str(path), source=str(path))

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 from .alignment import CueMatchMode, InstanceAlignment, _sentence_pairs
 from .errors import UsageError
-from .model import Corpus, instance_signature
+from .model import Corpus, _records
 
 
 def ratio_or(numerator: float, denominator: float, *, vacuous: bool) -> float:
@@ -149,9 +149,9 @@ class _Tally:
     cues, per mode.  ``add_scopes`` takes the same sentence's exact matching
     and counts scopes, with the sums of the per-instance ``scorers``.
     ``add_sentence`` counts CNS.  An instance reaches the tally as a tuple
-    that ends with its cue and scope sets: a ``model._records`` record
-    or an ``instance_signature``.  Sums are added in the order the sentences
-    and their matched pairs arrive.
+    that ends with its cue and scope sets: a ``model._records`` record, or
+    the ``(cue, scope)`` pair that ``_fold`` reads.  Sums are added in the
+    order the sentences and their matched pairs arrive.
     """
 
     __slots__ = ("cues", "scope_tp", "overlap", "gold_mass", "pred_mass", "sums", "cns_correct", "cns_total")
@@ -239,9 +239,9 @@ def _fold(
         tally.add(a.mode, a.matched, a.unmatched_gold, a.unmatched_pred, a.partial_only_pred)
         if scopes:
             tally.add_scopes(
-                [(instance_signature(g), instance_signature(p)) for g, p in a.matched],
-                map(instance_signature, a.unmatched_gold),
-                map(instance_signature, a.unmatched_pred),
+                [((g.cue, g.scope), (p.cue, p.scope)) for g, p in a.matched],
+                [(g.cue, g.scope) for g in a.unmatched_gold],
+                [(p.cue, p.scope) for p in a.unmatched_pred],
             )
     return tally
 
@@ -348,9 +348,5 @@ def correct_sentence_ratio(
     """
     tally = _Tally()
     for sent, pred_sent in _sentence_pairs(gold, pred):
-        tally.add_sentence(
-            list(map(instance_signature, sent.instances)),
-            list(map(instance_signature, pred_sent.instances)),
-            count_all_sentences,
-        )
+        tally.add_sentence(_records(sent), _records(pred_sent), count_all_sentences)
     return tally.sentence_accuracy()

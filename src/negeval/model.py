@@ -370,10 +370,16 @@ def _instance_faults(inst: NegationInstance, tokens: Sequence[Token]) -> list[tu
 
 def _token_faults(tokens: Sequence[Token]) -> list[tuple[str, str]]:
     """The ``(code, message)`` of each fault of ``tokens``, token by token:
-    an index other than the token's position, then an empty surface.  Whole
-    columns are compared first, so tokens without a fault are not walked."""
+    an index other than the token's position, an empty surface, then a
+    lemma and a POS tag ``_``, the CoNLL cell that reads back as none.
+    Whole columns are compared first, so tokens without a fault are not
+    walked."""
     # a comprehension's slot loads beat an attrgetter map on CPython 3.11
-    if [t.index for t in tokens] == list(range(len(tokens))) and all([t.surface for t in tokens]):
+    if (
+        [t.index for t in tokens] == list(range(len(tokens)))
+        and all([t.surface for t in tokens])
+        and not [t for t in tokens if t.lemma == "_" or t.pos == "_"]
+    ):
         return []
     found = []
     for position, token in enumerate(tokens):
@@ -381,6 +387,9 @@ def _token_faults(tokens: Sequence[Token]) -> list[tuple[str, str]]:
             found.append(("bad-token-index", f"token {position} carries index {token.index}"))
         if not token.surface:
             found.append(("empty-surface", f"token {position} has empty surface"))
+        for field, value in (("lemma", token.lemma), ("POS tag", token.pos)):
+            if value == "_":
+                found.append(("reserved-token-field", f"token {position} has {field} '_', which CoNLL reads as none"))
     return found
 
 
@@ -398,8 +407,9 @@ def _first_repeat(keys: list) -> int | None:
 def validate(corpus: Corpus) -> list[Diagnostic]:
     """Check every model invariant and return the violations found.
 
-    Errors: empty surfaces, non-contiguous token indices, empty cue sets and
-    elements that ``_instance_faults`` rejects, duplicate sentence keys.
+    Errors: empty surfaces, non-contiguous token indices, a lemma or POS
+    tag ``_``, empty cue sets and elements that ``_instance_faults``
+    rejects, duplicate sentence keys.
     Warnings: cue sets shared between instances of one sentence (evaluation
     still proceeds on such data).  The readers raise a ``ParseError`` for
     input that would give one of these errors, so this is for corpora built
@@ -425,8 +435,3 @@ def validate(corpus: Corpus) -> list[Diagnostic]:
                     message = f"instances {a.instance_id} and {b.instance_id} share cue elements"
                     diags.append(Diagnostic("warning", "overlapping-cues", message, *sent.key, a.instance_id))
     return diags
-
-
-def instance_signature(inst: NegationInstance) -> tuple[frozenset, frozenset]:
-    """(cue, scope) pair used wherever instances are compared as annotations."""
-    return (inst.cue, inst.scope)

@@ -107,18 +107,20 @@ def _evaluate_paired_and_plain(capsys, gold: str, pred: str, paths: Counter) -> 
     """``evaluate``'s exit code, stdout and stderr for ``pred`` against
     ``gold``, as it reads them and with the prediction read on its own."""
     argv = ["evaluate", "--gold", gold, "--pred", pred]
-    load_prediction = negeval.cli._load_prediction
+    load_paired = negeval.cli._load_paired
 
     def counting(path, blocks):
-        return _read_counting_paths(paths, blocks.sentences.values(), load_prediction, path, blocks)
+        if not blocks:  # the gold, read against no blocks
+            return load_paired(path, blocks)
+        return _read_counting_paths(paths, blocks.values(), load_paired, path, blocks)
 
     def plain(path, blocks):
-        return load_sem_conll(path)
+        return (load_sem_conll(path), {}) if blocks else load_paired(path, blocks)
 
     outputs = []
     for read in (counting, plain):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(negeval.cli, "_load_prediction", read)
+            patch.setattr(negeval.cli, "_load_paired", read)
             code = main(argv)
         outputs.append((code, *capsys.readouterr()))
     return outputs[0], outputs[1]

@@ -1,8 +1,9 @@
-"""The CoNLL reader's contract: exact errors and their order, accepted
-variants of the format, the parse/write round trip with affix and
-surface-only punctuation tokens, and the reading of a prediction against
-its gold's blocks, which must read as ``parse_sem_conll`` reads the
-prediction on its own."""
+"""The CoNLL reader's contract: the line rule that cuts every text input
+into blocks, exact errors and their order, accepted variants of the
+format, the parse/write round trip with affix and surface-only
+punctuation tokens, and the reading of a prediction against its gold's
+blocks, which must read as ``parse_sem_conll`` reads the prediction on its
+own."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from negeval import (
     parse_sem_conll,
     write_sem_conll,
 )
-from negeval.conll import _parse_gold, _parse_prediction
+from negeval.conll import _blocks, _parse_paired
 from negeval.model import is_punct_surface
 from negeval.testing import random_corpus
 from test_reader_contract import _outcome, _read_counting_paths
@@ -134,6 +135,41 @@ def test_line_numbers_count_every_line_of_the_file():
         parse_sem_conll(text, source="bad.conll")
     assert str(err.value) == "bad.conll:4: sentence without negation columns must carry '***', found '_'"
     assert (err.value.source, err.value.line) == ("bad.conll", 4)
+
+
+_LINE_PIECES = ("a", "b", "\n", "\r", "\r\n", " ", "\t", "\x0c", "\x85", "\u2028")
+
+
+def _blocks_by_the_line_rule(text: str) -> list[tuple[int, list[str]]]:
+    """The blocks of ``text`` by the README's line rule: lines end at line
+    feeds and lose their trailing carriage returns, a line that is empty or
+    all whitespace is blank, and a block is a maximal run of non-blank
+    lines, named by the number of its first line, counted from 1."""
+    blocks: list[tuple[int, list[str]]] = []
+    in_block = False
+    for number, line in enumerate(text.split("\n"), 1):
+        while line.endswith("\r"):
+            line = line[:-1]
+        if all(ch.isspace() for ch in line):  # the empty line too
+            in_block = False
+        elif in_block:
+            blocks[-1][1].append(line)
+        else:
+            blocks.append((number, [line]))
+            in_block = True
+    return blocks
+
+
+def test_blocks_follow_the_line_rule():
+    rng = random.Random(5)
+    seen: Counter[str] = Counter()
+    for case in range(20_000):
+        text = "".join(rng.choices(_LINE_PIECES, k=rng.randrange(30)))
+        expected = _blocks_by_the_line_rule(text)
+        assert list(_blocks(text)) == expected, f"case {case}: {text!r}"
+        seen[("no block", "one block", "blocks")[min(len(expected), 2)]] += 1
+        seen["no blank line"] += expected == [(1, text.split("\n"))]
+    assert all(seen[kind] > 1000 for kind in ("no block", "one block", "blocks", "no blank line")), seen
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +433,9 @@ _D0_CLEARED = "\n".join(line.rsplit("\t", 3)[0] + "\t***" for line in _D0.split(
     ],
 )
 def test_a_prediction_read_against_its_gold_reads_as_parse_sem_conll_reads_it(gold_text, pred_text, gold_sentences):
-    gold, blocks = _parse_gold(gold_text)
+    gold, blocks = _parse_paired(gold_text, {})
     paired = _outcome(
-        lambda: _read_counting_paths(Counter(), gold.sentences, _parse_prediction, pred_text, blocks, "p", "p.conll")
+        lambda: _read_counting_paths(Counter(), gold.sentences, _parse_paired, pred_text, blocks, "p", "p.conll")[0]
     )
     assert paired == _outcome(lambda: parse_sem_conll(pred_text, "p", "p.conll"))
     if gold_sentences is None:
@@ -415,8 +451,8 @@ def test_a_prediction_read_against_its_gold_reads_as_parse_sem_conll_reads_it(go
     ids=["another syntax cell", "a sentence number written otherwise"],
 )
 def test_a_block_with_the_gold_surface_lemma_and_pos_columns_shares_the_gold_tokens(pred_text):
-    gold, blocks = _parse_gold(GOLD)
-    paired = _parse_prediction(pred_text, blocks)
+    gold, blocks = _parse_paired(GOLD, {})
+    paired, _ = _parse_paired(pred_text, blocks)
     assert paired == parse_sem_conll(pred_text)
     assert [p.tokens is g.tokens for p, g in zip(paired.sentences, gold.sentences)] == [True, True]
     assert [p is g for p, g in zip(paired.sentences, gold.sentences)].count(False) == 1

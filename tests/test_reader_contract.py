@@ -7,8 +7,8 @@ corpus in which ``validate`` finds no error, so nothing downstream needs to
 check again; an input it rejects raises ``ParseError`` or ``GraphError``,
 never a bare ``ValueError``, ``KeyError`` or ``IndexError``.  Each mutated
 CoNLL input is also read as a prediction against its unmutated source, as
-``evaluate`` reads it, and must read as ``parse_sem_conll`` reads it on its
-own, errors and lines included.
+``evaluate`` reads it, and as a gold, and must read as ``parse_sem_conll``
+reads it on its own, errors and lines included.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from negeval import (
     parse_sfu,
     validate,
 )
-from negeval.conll import _parse_gold, _parse_prediction
+from negeval.conll import _blocks, _parse_paired
 from negeval.depgraph import decode_corpus, encode_corpus
 
 SEED = 11
@@ -117,7 +117,7 @@ def _outcome(read) -> tuple:
 
 
 def _read_counting_paths(paths: Counter, gold_sentences, read, *args):
-    """``read(*args)``, a read of a prediction with ``conll._parse_prediction``,
+    """``read(*args)``, a read of a prediction with ``conll._parse_paired``,
     adding to ``paths`` its gold sentences and the blocks that
     ``_parse_sentence`` gave the gold's tokens or tokens of their own.  An
     accepted sentence must hold a gold sentence's token tuple exactly when
@@ -139,14 +139,15 @@ def _read_counting_paths(paths: Counter, gold_sentences, read, *args):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(negeval.conll, "_parse_sentence", counting_parse_sentence)
-        corpus = read(*args)
+        result = read(*args)
+    corpus = result[0]
     from_gold = [id(sent) in gold_ids for sent in corpus.sentences]
     paths["gold sentence"] += sum(from_gold)
     assert [id(sent.tokens) in gold_tokens for sent in corpus.sentences] == [
         gold or (sent.key in by_key and columns(sent) == columns(by_key[sent.key]))
         for gold, sent in zip(from_gold, corpus.sentences)
     ], args[0]
-    return corpus
+    return result
 
 
 def _edit_annotation(rng: random.Random, text: str) -> str:
@@ -172,11 +173,19 @@ def test_a_prediction_read_against_its_gold_reads_as_parse_sem_conll_reads_it():
         mutated = _mutate(rng, original)  # the mutations of the test above, case by case
         if read is not parse_sem_conll:
             continue
-        gold, blocks = _parse_gold(original, source="gold")
+        gold, blocks = _parse_paired(original, {}, source="gold")
         for text in (mutated, _edit_annotation(edits, original)):
             expected = _outcome(lambda: parse_sem_conll(text, source="pred"))
             got = _outcome(
-                lambda: _read_counting_paths(paths, gold.sentences, _parse_prediction, text, blocks, "", "pred")
+                lambda: _read_counting_paths(paths, gold.sentences, _parse_paired, text, blocks, "", "pred")[0]
             )
             assert got == expected, f"case {case}: {name}: {text!r}"
+            # read as a gold, against no blocks: the same outcome, and each sentence by its block's text
+            as_gold = _outcome(lambda: _parse_paired(text, {}, "", "pred"))
+            if as_gold[0] == "ok":
+                corpus, own = as_gold[1]
+                assert ("ok", corpus) == expected, f"case {case}: {name}: {text!r}"
+                assert own == {"\n".join(lines): s for (_, lines), s in zip(_blocks(text), corpus.sentences)}
+            else:
+                assert as_gold == expected, f"case {case}: {name}: {text!r}"
     assert all(paths[path] > 100 for path in ("gold sentence", "gold tokens", "own tokens")), paths

@@ -300,7 +300,9 @@ def test_the_writers_name_one_fault_under_every_hash_seed():
 # matching reader reads back equal
 
 
-_INJECTIONS = (None, "reserved surface", "reserved affix", "index", "empty surface", "repeated key")
+_INJECTIONS = (
+    None, "reserved surface", "reserved affix", "index", "empty surface", "reserved lemma", "reserved POS", "repeated key",
+)
 _RESERVED = ("_", "***")
 
 
@@ -312,8 +314,9 @@ def _token(token: Token, surface: str | None = None, index: int | None = None) -
 
 
 def _inject(rng: random.Random, corpus: Corpus, injection: str | None) -> Corpus:
-    """``corpus`` with one sentence given a token the readers reject, an
-    element whose CoNLL cell is ``_`` or ``***``, or the key of another."""
+    """``corpus`` with one sentence given a token the readers reject, a
+    lemma or POS tag ``_``, an element whose CoNLL cell is ``_`` or ``***``,
+    or the key of another."""
     sentences = list(corpus.sentences)
     n = rng.randrange(len(sentences))
     sent = sentences[n]
@@ -337,6 +340,10 @@ def _inject(rng: random.Random, corpus: Corpus, injection: str | None) -> Corpus
         tokens[i] = _token(tokens[i], index=i + rng.choice((-1, 1, len(tokens))))
     elif injection == "empty surface":
         tokens[i] = _token(tokens[i], surface="")
+    elif injection == "reserved lemma":
+        tokens[i] = replace(tokens[i], lemma="_")
+    elif injection == "reserved POS":
+        tokens[i] = replace(tokens[i], pos="_")
     elif injection == "repeated key":
         donor = rng.choice(sentences)
         sentences.insert(rng.randint(n + 1, len(sentences)), Sentence(*sent.key, donor.tokens, donor.instances))
@@ -398,8 +405,11 @@ def test_every_writer_refuses_a_corpus_or_writes_what_its_reader_reads_back_equa
                 outcomes[name, injection, "read back"] += 1
     for name in ("conll", "patch", "direct", "nested"):
         assert not outcomes[name, None, "refused"], name
-        for injection in ("index", "empty surface"):
+        for injection in ("index", "empty surface", "reserved lemma", "reserved POS"):
             assert outcomes[name, injection, "refused"], (name, injection)
+    # a lemma or POS tag "_" would read back as none; every CoNLL write holds the token
+    for injection in ("reserved lemma", "reserved POS"):
+        assert not outcomes["conll", injection, "read back"], injection
     # the CoNLL cells "_" and "***" mark no element; a graph writes any surface
     for injection in ("reserved surface", "reserved affix"):
         for name in ("conll", "patch"):
