@@ -11,6 +11,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 
 from .alignment import CueMatchMode, _match, _sentence_pairs
@@ -202,6 +203,33 @@ class MetricReport:
         return self.to_text()
 
 
+# The gold side of the corpus ``_count`` last scored, so that scoring a held
+# gold again strips, sorts and indexes only the predictions: a weak
+# reference to that corpus, the ``keep_punct`` it was scored with, and by
+# pair position ``(gold sentence, punctuation indices, sorted records)`` or
+# None.  The reference's callback empties it once the gold is freed.  A call
+# fills only the entries list it started with, so calls in other threads
+# cannot mix corpora or options.
+_memo: tuple = (None, None, [])
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _memo
+    if _memo[0] is ref:
+        _memo = (None, None, [])
+
+
+def _gold_entries(gold: Corpus, keep_punct: bool) -> list:
+    """The memo's entries for ``gold`` scored with ``keep_punct``; a new,
+    empty memo unless it already holds that corpus and option."""
+    global _memo
+    ref, kept_punct, entries = _memo
+    if ref is None or ref() is not gold or kept_punct != keep_punct:
+        entries = [None] * len(gold.sentences)
+        _memo = (weakref.ref(gold, _forget), keep_punct, entries)
+    return entries
+
+
 def _count(gold: Corpus, pred: Corpus, keep_punct: bool, cns_all_sentences: bool) -> _Tally:
     """Every count of a report, in one walk over the paired sentences.
 
@@ -209,21 +237,31 @@ def _count(gold: Corpus, pred: Corpus, keep_punct: bool, cns_all_sentences: bool
     (stripped unless ``keep_punct``, as ``strip_punctuation`` would strip it),
     sorted once and matched in both cue-match modes, as ``align_corpus``
     would match it, and its counts go straight to the tally.  No instance is
-    rebuilt.
+    rebuilt.  A gold sentence's records and punctuation indices are taken
+    from the memo when it holds them for this corpus, option and sentence,
+    and put there otherwise, unless stripping dropped an instance: that
+    sentence's warning is then issued again on every call, in pair order.
     """
     tally = _Tally((TOKEN_SCORER, EXACT_SCORER))
     exact, partial = CueMatchMode.EXACT, CueMatchMode.PARTIAL
-    for g_sent, p_sent in _sentence_pairs(gold, pred):
+    entries = _gold_entries(gold, keep_punct)
+    for position, (g_sent, p_sent) in enumerate(_sentence_pairs(gold, pred)):
         if not (g_sent.instances or p_sent.instances):
             tally.add_sentence((), (), cns_all_sentences)
             continue
-        punct = None if keep_punct else _punct_indices(g_sent.tokens)
-        g_rec = _records(g_sent, punct)
+        entry = entries[position]
+        if entry is not None and entry[0] is g_sent:
+            _, punct, g_rec = entry
+        else:
+            punct = None if keep_punct else _punct_indices(g_sent.tokens)
+            g_rec = _records(g_sent, punct)
+            g_rec.sort()
+            if len(g_rec) == len(g_sent.instances):
+                entries[position] = (g_sent, punct, g_rec)
         if punct is not None and p_sent.tokens is not g_sent.tokens:
             punct = _punct_indices(p_sent.tokens)
         p_rec = _records(p_sent, punct)
         tally.add_sentence(g_rec, p_rec, cns_all_sentences)
-        g_rec.sort()
         p_rec.sort()
         matched, unmatched_gold, unmatched_pred, partial_only = _match(g_rec, p_rec, exact)
         tally.add(exact, matched, unmatched_gold, unmatched_pred, partial_only)
@@ -246,7 +284,9 @@ def full_report(
     results as ``strip_punctuation``, ``align_corpus`` in both cue-match
     modes, the metric functions and ``correct_sentence_ratio`` give.  Runs
     with cyclic GC paused, as CLI commands do: scoring allocates many small
-    objects but creates no reference cycles.
+    objects but creates no reference cycles.  The stripped, sorted gold
+    side of the last ``gold`` scored is kept until that corpus is freed,
+    so scoring the same object again does that work only for ``pred``.
     """
     tally = _count(gold, pred, keep_punct, cns_all_sentences)
     metrics = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import negeval
+from negeval import full_report
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+DEMOS_DIR = Path(__file__).resolve().parents[1] / "demos"
+DEMOS = sorted(DEMOS_DIR.glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -27,3 +30,18 @@ def test_demo_runs_cleanly(demo, tmp_path):
 
 def test_every_demo_is_found():
     assert len(DEMOS) >= 4
+
+
+def test_the_metric_contrasts_demo_shows_both_contrasts():
+    spec = importlib.util.spec_from_file_location("metric_contrasts", DEMOS_DIR / "05_metric_contrasts.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    gold = demo.gold_corpus()
+    long_only, short_only = (full_report(gold, pred).metrics for pred in demo.systems(gold))
+    # ST ranks L first, Inst-tok ranks S first
+    assert long_only["st"].f1 > short_only["st"].f1
+    assert long_only["inst_tok"].f1 < short_only["inst_tok"].f1
+    for metrics in (long_only, short_only):
+        assert metrics["cues_exact_b"].f1 == 1.0
+        assert metrics["scm"].precision == metrics["inst_tok"].precision == 1.0
+        assert metrics["scm_b"].precision < 1.0

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import gc
 import json
+import operator
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -24,6 +26,7 @@ from negeval import (
     cue_scores,
     full_report,
     instance_scores,
+    load_sem_conll,
     scope_match,
     scope_tokens,
     strip_punctuation,
@@ -31,6 +34,7 @@ from negeval import (
 from negeval.metrics import percent
 from negeval.report import METRIC_ORDER, MetricReport
 from negeval.testing import perturb_predictions, random_corpus
+from conftest import fixture_path
 from test_reference_scorer import _report_counts, corpus_pair, reference_counts
 
 
@@ -354,3 +358,85 @@ def test_full_report_raises_the_alignment_error_of_align(gold_corpus):
             full_report(gold_corpus, pred)
         assert str(got.value) == str(want.value)
         assert str(got.value) == f"token sequences differ for sentence {last.key}: {detail}"
+
+
+# ---------------------------------------------------------------------------
+# The memo of the last scored gold
+
+#: (keep_punct, cns_all_sentences) in calling order: every step changes
+#: keep_punct, and a second gold is scored once in between.
+MEMO_SETTINGS = [(False, False), (True, True), "other gold", (False, True), (True, False)]
+
+
+def _fresh(corpus: Corpus) -> Corpus:
+    """A new ``Corpus`` object holding ``corpus``'s sentences, which the memo
+    of ``full_report`` does not hold."""
+    return Corpus(corpus.sentences, corpus.name)
+
+
+def _scored(caplog, gold: Corpus, pred: Corpus, keep_punct: bool, cns_all_sentences: bool) -> tuple:
+    """``full_report(...).to_json()`` and the warning lines it logged."""
+    caplog.clear()
+    text = full_report(gold, pred, keep_punct=keep_punct, cns_all_sentences=cns_all_sentences).to_json()
+    return text, [r.getMessage() for r in caplog.records]
+
+
+def test_a_repeated_call_gives_what_a_first_call_gives(caplog):
+    seen = {"dropped gold instance": 0, "empty gold scope": 0}
+    caplog.set_level("WARNING", logger="negeval")
+    for seed in range(300):
+        gold, shared = corpus_pair(seed)
+        other_gold, other_pred = corpus_pair(seed + 300)
+        own = _own_tokens(random.Random(seed), shared, flip_punct=True)
+        calls = []
+        for setting in MEMO_SETTINGS:
+            if setting == "other gold":
+                calls.append((other_gold, other_pred, False, False))
+            else:
+                calls += [(gold, pred, *setting) for pred in (own, shared, gold)]
+        want = [_scored(caplog, _fresh(g), p, k, c) for g, p, k, c in calls]
+        assert [_scored(caplog, *call) for call in calls] == want, seed
+        seen["dropped gold instance"] += any(
+            all(s.tokens[e.token_index].is_punct for e in i.cue) for s in gold.sentences for i in s.instances
+        )
+        seen["empty gold scope"] += any(not i.scope for s in gold.sentences for i in s.instances)
+    assert min(seen.values()) > 15, seen
+
+
+def _paired_with_instances(gold: Corpus, pred: Corpus, *, gold_too: bool) -> list[Sentence]:
+    """The sentences ``_count`` builds records of, in its order: of each pair
+    with an instance on either side, the gold's if ``gold_too``, then the
+    prediction's."""
+    pairs = [(g, p) for g, p in zip(gold.sentences, pred.sentences) if g.instances or p.instances]
+    return [s for g, p in pairs for s in ((g, p) if gold_too else (p,))]
+
+
+def test_the_memo_holds_only_the_gold_side_of_the_gold_last_scored(monkeypatch):
+    built = []
+
+    def spy(sent, punct=None):
+        built.append(sent)
+        return real(sent, punct)
+
+    real = negeval.report._records
+    monkeypatch.setattr(negeval.report, "_records", spy)
+    gold, pred = load_sem_conll(fixture_path("two_systems_gold.conll")), load_sem_conll(fixture_path("two_systems_a.conll"))
+
+    full_report(gold, pred)
+    built.clear()
+    full_report(gold, pred)
+    want = _paired_with_instances(gold, pred, gold_too=False)
+    # by identity: sentences equal in value would pass ==
+    assert len(built) == len(want) and all(map(operator.is_, built, want))
+
+    again = load_sem_conll(fixture_path("two_systems_gold.conll"))  # equal in value, another object
+    assert again == gold and again is not gold
+    built.clear()
+    full_report(again, pred)
+    want = _paired_with_instances(again, pred, gold_too=True)
+    assert len(built) == len(want) and all(map(operator.is_, built, want))
+
+    ref = weakref.ref(again)
+    del again
+    assert ref() is None
+    assert negeval.report._memo == (None, None, [])
