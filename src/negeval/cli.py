@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .conll import _decode, _load_paired, load_sem_conll, write_sem_conll
+from .conll import _decode, load_pair, load_sem_conll, write_sem_conll
 from .depgraph import EncodingKind, decode_corpus, encode_corpus
 from .errors import (
     AlignmentError,
@@ -63,13 +63,11 @@ _EXIT_CODES = (
 
 
 def _sniff_format(path: Path) -> str:
-    if path.suffix.lower() in (".conll", ".sem", ".txt", ".neg"):
+    if path.suffix.lower() != ".xml":
         return "conll"
-    if path.suffix.lower() == ".xml":
-        with open(path, "rb") as handle:
-            head = handle.read(4096).decode("utf-8", "replace")
-        return "sfu" if "<SENTENCE" in head else "bioscope"
-    return "conll"
+    with open(path, "rb") as handle:
+        head = handle.read(4096).decode("utf-8", "replace")
+    return "sfu" if "<SENTENCE" in head else "bioscope"
 
 
 def _format(path: Path, args) -> str:
@@ -102,32 +100,23 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_scored(args, pred_paths: tuple[str, ...], strip_gold: bool = False) -> tuple[Corpus, list[Corpus]]:
-    """The gold corpus of ``args.gold`` and each prediction read against it.
+def _load_scored(args, pred_paths: tuple[str, ...]) -> tuple[Corpus, list[Corpus]]:
+    """The gold corpus of ``args.gold`` and the corpus of each of ``pred_paths``.
 
-    A CoNLL gold and its CoNLL predictions are read with
-    ``conll._load_paired``: the gold against no blocks, each prediction
-    against the gold's blocks, so that it shares the gold's sentences and
-    tokens where it repeats them; the gold's blocks are dropped when this
-    returns.  Any other prediction is read on its own, as ``_load_corpus``
-    reads it.  With ``strip_gold``, the gold is stripped, and its warnings
-    printed, before any prediction is read.
+    When every file is CoNLL they are read with ``conll.load_pair``, so that
+    each prediction shares the gold's sentences and tokens where it repeats
+    them; otherwise each is read on its own, as ``_load_corpus`` reads it.
+    Which files are CoNLL is decided without opening any: without
+    ``--format``, every file but an ``.xml`` one is.  So a file that cannot
+    be opened fails only when its turn to be read comes.
     """
-    gold_path = Path(args.gold)
-    blocks = None
-    if _format(gold_path, args) == "conll":
-        gold, blocks = _load_paired(gold_path, {})
+    paths = (args.gold, *pred_paths)
+    fmt = getattr(args, "format", None)
+    xml = any(Path(p).suffix.lower() == ".xml" for p in paths)
+    if fmt == "conll" or (fmt is None and not xml):
+        gold, *preds = load_pair(*paths)
     else:
-        gold = _load_corpus(args.gold, args)
-    if strip_gold:
-        gold = strip_punctuation(gold)
-    preds = []
-    for path_text in pred_paths:
-        path = Path(path_text)
-        if blocks is not None and _format(path, args) == "conll":
-            preds.append(_load_paired(path, blocks)[0])
-        else:
-            preds.append(_load_corpus(path_text, args))
+        gold, *preds = (_load_corpus(p, args) for p in paths)
     return gold, preds
 
 
@@ -143,7 +132,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    gold, (pred_a, pred_b) = _load_scored(args, (args.pred_a, args.pred_b), strip_gold=not args.keep_punct)
+    gold, (pred_a, pred_b) = _load_scored(args, (args.pred_a, args.pred_b))
+    if not args.keep_punct:  # once, so that the gold's warnings are printed once
+        gold = strip_punctuation(gold)
     report_a = full_report(gold, pred_a, keep_punct=args.keep_punct)
     report_b = full_report(gold, pred_b, keep_punct=args.keep_punct)
     if args.out == "json":

@@ -41,9 +41,6 @@ def _blocks(text: str) -> Iterator[tuple[int, list[str]]]:
     lines = text.split("\n")
     if "\r" in text:
         lines = [line.rstrip("\r") for line in lines]
-    if all(lines) and not any(map(str.isspace, lines)):  # no blank line: one block
-        yield 1, lines
-        return
     start = 0
     for end, line in enumerate(lines):
         if not line or line.isspace():
@@ -69,14 +66,8 @@ def parse_sem_conll(data: str | bytes | IO, name: str = "", source: str = "<stri
     Raises :class:`ParseError` (with line numbers) for ragged column counts,
     annotation cells that do not occur in their token's surface, ``***``
     cells mixed with instance cells, instances without a cue cell and a
-    sentence key that an earlier sentence has.
-
-    ``negeval evaluate`` and ``compare`` read a CoNLL prediction against a
-    CoNLL gold's own blocks instead, with the same corpus and the same
-    errors and lines: a block byte-identical to a gold block is the gold's
-    sentence, and any other block is read as here, taking the tokens of the
-    gold sentence with its key when its surface, lemma and POS columns are
-    that sentence's.
+    sentence key that an earlier sentence has.  :func:`load_pair` reads a
+    gold file and its predictions as ``negeval evaluate`` does.
     """
     text = _decode(data, source)
     sentences = [_parse_sentence(lines, first_line, source) for first_line, lines in _blocks(text)]
@@ -444,7 +435,21 @@ def dump_sem_conll(corpus: Corpus, path) -> None:
         handle.write(write_sem_conll(corpus))
 
 
-def _load_paired(path, gold: dict[str, Sentence]) -> tuple[Corpus, dict[str, Sentence]]:
-    """``_parse_paired`` of the file at ``path``, named as ``load_sem_conll`` names it."""
-    with open(path, "rb") as handle:
-        return _parse_paired(handle, gold, name=str(path), source=str(path))
+def load_pair(gold, *preds) -> tuple[Corpus, ...]:
+    """``(gold, *preds)``: the corpus of the CoNLL file at each path, as
+    ``load_sem_conll`` reads and names it, with the same errors and lines.
+
+    Each prediction is read against the gold's own blocks, as ``negeval
+    evaluate`` and ``compare`` read a CoNLL pair: a block byte-identical to
+    a gold block is the gold's sentence, and any other block is read as
+    ``parse_sem_conll`` reads it, taking the tokens of the gold sentence
+    with its key when its surface, lemma and POS columns are that
+    sentence's.  The gold's blocks are dropped when this returns.
+    """
+
+    def read(path, blocks: dict[str, Sentence]) -> tuple[Corpus, dict[str, Sentence]]:
+        with open(path, "rb") as handle:
+            return _parse_paired(handle, blocks, name=str(path), source=str(path))
+
+    gold_corpus, blocks = read(gold, {})
+    return (gold_corpus, *(read(path, blocks)[0] for path in preds))

@@ -269,6 +269,31 @@ def test_compare_warns_about_the_gold_once_then_each_system(capsys, tmp_path):
     ]
 
 
+def test_compare_reads_every_file_before_it_strips_the_gold(capsys, tmp_path):
+    words = [("no", "DT"), (",", ","), ("way", "NN")]
+    paths = {name: tmp_path / f"{name}.conll" for name in ("gold", "a", "b")}
+    _write_sentences(paths["gold"], [(words, [{0}, {1}])])  # instance 1 has a comma-only cue
+    _write_sentences(paths["a"], [(words, [{0}])])
+    paths["b"].write_text("d\t0\t0\tno\n", encoding="utf-8")
+    argv = ["compare", "--gold", str(paths["gold"]), "--pred-a", str(paths["a"]), "--pred-b", str(paths["b"])]
+    # the unreadable prediction stops the command before the gold is stripped and warns
+    assert run(capsys, *argv) == (
+        EXIT_PARSE, "", f"negeval: parse-error: {paths['b']}:1: expected at least 8 columns, found 4\n"
+    )
+
+
+def test_scored_files_fail_in_reading_order(capsys, tmp_path):
+    gold = tmp_path / "gold.conll"
+    gold.write_text("d\t0\t0\tno\n", encoding="utf-8")
+    missing = tmp_path / "missing.xml"
+    # the gold's error, although the prediction could not even be sniffed
+    assert run(capsys, "evaluate", "--gold", str(gold), "--pred", str(missing)) == (
+        EXIT_PARSE, "", f"negeval: parse-error: {gold}:1: expected at least 8 columns, found 4\n"
+    )
+    code, _, err = run(capsys, "evaluate", "--gold", str(missing), "--pred", str(gold))
+    assert code == EXIT_IO and str(missing) in err
+
+
 def test_byte_identical_prediction_blocks_warn_as_read_blocks_do(tmp_path):
     words = [("no", "DT"), (",", ","), ("way", "NN"), (".", ".")]
     paths = {name: tmp_path / f"{name}.conll" for name in ("gold", "a", "b")}

@@ -22,6 +22,7 @@ import pytest
 
 from conftest import fixture_path
 import negeval.cli
+import negeval.conll
 from negeval import ReannotationPatch, format_patch_file, load_sem_conll
 from negeval.cli import _EXIT_CODES, main
 from negeval.depgraph import EncodingKind, encode_corpus
@@ -107,20 +108,20 @@ def _evaluate_paired_and_plain(capsys, gold: str, pred: str, paths: Counter) -> 
     """``evaluate``'s exit code, stdout and stderr for ``pred`` against
     ``gold``, as it reads them and with the prediction read on its own."""
     argv = ["evaluate", "--gold", gold, "--pred", pred]
-    load_paired = negeval.cli._load_paired
+    parse_paired = negeval.conll._parse_paired
 
-    def counting(path, blocks):
+    def counting(data, blocks, name, source):
         if not blocks:  # the gold, read against no blocks
-            return load_paired(path, blocks)
-        return _read_counting_paths(paths, blocks.values(), load_paired, path, blocks)
+            return parse_paired(data, blocks, name, source)
+        return _read_counting_paths(paths, blocks.values(), parse_paired, data, blocks, name, source)
 
-    def plain(path, blocks):
-        return (load_sem_conll(path), {}) if blocks else load_paired(path, blocks)
+    def plain(data, blocks, name, source):
+        return (load_sem_conll(source), {}) if blocks else parse_paired(data, blocks, name, source)
 
     outputs = []
     for read in (counting, plain):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(negeval.cli, "_load_paired", read)
+            patch.setattr(negeval.conll, "_parse_paired", read)
             code = main(argv)
         outputs.append((code, *capsys.readouterr()))
     return outputs[0], outputs[1]

@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import fixture_path
 from negeval import (
     Corpus,
     NegationInstance,
@@ -19,10 +20,12 @@ from negeval import (
     Sentence,
     Token,
     element_for,
+    full_report,
+    load_sem_conll,
     parse_sem_conll,
     write_sem_conll,
 )
-from negeval.conll import _blocks, _parse_paired
+from negeval.conll import _blocks, _parse_paired, load_pair
 from negeval.model import is_punct_surface
 from negeval.testing import random_corpus
 from test_reader_contract import _outcome, _read_counting_paths
@@ -456,3 +459,53 @@ def test_a_block_with_the_gold_surface_lemma_and_pos_columns_shares_the_gold_tok
     assert paired == parse_sem_conll(pred_text)
     assert [p.tokens is g.tokens for p, g in zip(paired.sentences, gold.sentences)] == [True, True]
     assert [p is g for p, g in zip(paired.sentences, gold.sentences)].count(False) == 1
+
+
+# ---------------------------------------------------------------------------
+# load_pair: a gold file and its predictions, read as ``evaluate`` reads them
+
+_PAIR = [fixture_path(f"two_systems_{name}.conll") for name in ("gold", "a", "b")]
+
+
+def test_load_pair_reads_each_file_as_load_sem_conll_reads_it():
+    corpora = load_pair(*_PAIR)
+    assert corpora == tuple(map(load_sem_conll, _PAIR))
+    assert [corpus.name for corpus in corpora] == list(map(str, _PAIR))
+    assert load_pair(_PAIR[0]) == (load_sem_conll(_PAIR[0]),)
+
+
+def test_load_pair_shares_the_gold_sentences_and_tokens_a_prediction_repeats():
+    gold, *preds = load_pair(*_PAIR)
+    gold_blocks = ["\n".join(lines) for _, lines in _blocks(_PAIR[0].read_text("utf-8"))]
+
+    def columns(sent):
+        return [(t.surface, t.lemma, t.pos) for t in sent.tokens]
+
+    shared = Counter()
+    for path, pred in zip(_PAIR[1:], preds):
+        blocks = ["\n".join(lines) for _, lines in _blocks(path.read_text("utf-8"))]
+        assert [s.key for s in pred.sentences] == [s.key for s in gold.sentences]
+        pairs = list(zip(pred.sentences, gold.sentences))
+        assert [p is g for p, g in pairs] == [b == g for b, g in zip(blocks, gold_blocks)]
+        assert [p.tokens is g.tokens for p, g in pairs] == [columns(p) == columns(g) for p, g in pairs]
+        shared.update(("sentence" if p is g else "tokens" if p.tokens is g.tokens else "none") for p, g in pairs)
+    # both systems repeat some gold blocks byte for byte and only the token columns of others
+    assert shared["sentence"] and shared["tokens"], shared
+
+
+def test_load_pair_raises_the_error_load_sem_conll_raises(tmp_path):
+    lines = _PAIR[1].read_text("utf-8").split("\n")
+    last = max(i for i, line in enumerate(lines) if "\t" in line)
+    lines[last] = lines[last].rsplit("\t", 1)[0]  # a short row, in a block the gold has byte for byte
+    bad = tmp_path / "a.conll"
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    expected = _outcome(lambda: load_sem_conll(bad))
+    assert expected[0] is ParseError and expected[3] == last + 1
+    assert _outcome(lambda: load_pair(_PAIR[0], bad)) == expected
+    assert _outcome(lambda: load_pair(_PAIR[0], _PAIR[2], bad)) == expected
+
+
+def test_a_report_on_load_pair_is_the_report_on_two_plain_reads():
+    for pred in _PAIR[1:]:
+        plain = full_report(load_sem_conll(_PAIR[0]), load_sem_conll(pred))
+        assert full_report(*load_pair(_PAIR[0], pred)).to_json() == plain.to_json()
