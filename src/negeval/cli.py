@@ -104,8 +104,9 @@ def _load_scored(args, pred_paths: tuple[str, ...]) -> tuple[Corpus, list[Corpus
     """The gold corpus of ``args.gold`` and the corpus of each of ``pred_paths``.
 
     When every file is CoNLL they are read with ``conll.load_pair``, so that
-    each prediction shares the gold's sentences and tokens where it repeats
-    them; otherwise each is read on its own, as ``_load_corpus`` reads it.
+    each prediction shares the sentences of the files before it and the
+    gold's tokens where it repeats them; otherwise each is read on its own,
+    as ``_load_corpus`` reads it.
     Which files are CoNLL is decided without opening any: without
     ``--format``, every file but an ``.xml`` one is.  So a file that cannot
     be opened fails only when its turn to be read comes.
@@ -240,10 +241,12 @@ def cmd_patch(args) -> int:
 
 
 def cmd_detect_coord(args) -> int:
-    from .datatools import detect_coordination_cues, format_patch_file
+    from .datatools import DEFAULT_COORDINATION_LEXICON, detect_coordination_cues, format_patch_file
 
     corpus = _load_corpus(args.input, args)
-    lexicon = frozenset(w.strip().lower() for w in args.lexicon.split(",") if w.strip())
+    lexicon = DEFAULT_COORDINATION_LEXICON
+    if args.lexicon is not None:
+        lexicon = frozenset(w.strip().lower() for w in args.lexicon.split(",") if w.strip())
     patches = detect_coordination_cues(corpus, lexicon)
     _emit(args, format_patch_file(corpus, patches))
     return EXIT_OK
@@ -332,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect-coord", help="draft patches splitting discontinuous coordination cues")
     p.add_argument("input")
-    p.add_argument("--lexicon", default="neither,nor", help="comma-separated coordination cue words")
+    p.add_argument("--lexicon", help="comma-separated coordination cue words")
     _add_io_options(p)
     p.set_defaults(func=cmd_detect_coord)
 

@@ -70,7 +70,7 @@ def parse_sem_conll(data: str | bytes | IO, name: str = "", source: str = "<stri
     gold file and its predictions as ``negeval evaluate`` does.
     """
     text = _decode(data, source)
-    sentences = [_parse_sentence(lines, first_line, source) for first_line, lines in _blocks(text)]
+    sentences = [_parse_sentence(lines, _ROW_BREAK.join(lines), i, source, {}) for i, lines in _blocks(text)]
     _check_keys(sentences, source, text)
     return Corpus(tuple(sentences), name=name)
 
@@ -90,6 +90,10 @@ def _check_keys(sentences: list[Sentence], source: str, text: str | None = None)
 #: The token-number column as written, for sentences of up to 256 tokens.
 _NUMBERS = [str(i) for i in range(256)]
 
+#: Joins a block's lines into the string that keys the block in a block map
+#: and whose split at tabs is every row's cells, a line-feed cell between rows.
+_ROW_BREAK = "\t\n\t"
+
 
 def _rows(lines: list[str]) -> list[list[str]]:
     # Tab-separated is canonical; fall back to whitespace runs for
@@ -98,12 +102,13 @@ def _rows(lines: list[str]) -> list[list[str]]:
 
 
 def _parse_sentence(
-    lines: list[str], first_line: int, source: str, gold: dict[tuple[str, int], Sentence] | None = None
+    lines: list[str], block: str, first_line: int, source: str, gold: dict[tuple[str, int], Sentence]
 ) -> Sentence:
-    """The sentence of one block, whose first line is ``first_line``.  A
-    block whose key is in ``gold`` and whose surface, lemma and POS columns
-    are those of the gold sentence with that key has that sentence's token
-    tuple; any other block has tokens of its own."""
+    """The sentence of one block: its ``lines``, from ``first_line``, and
+    ``block``, those lines joined by ``_ROW_BREAK``.  A block whose key is in
+    ``gold`` and whose surface, lemma and POS columns are those of the gold
+    sentence with that key has that sentence's token tuple; any other block
+    has tokens of its own."""
     (first_cols,) = _rows(lines[:1])
     width = len(first_cols)
     if width < _FIXED_COLUMNS + 1:
@@ -121,15 +126,15 @@ def _parse_sentence(
     doc_id = first_cols[0]
     sent_no = _parse_int(first_cols[1], source, first_line, "sentence number")
 
-    # Column j is cells[j::step] of one flat list of every row's cells, split
-    # at once with a line-feed cell after each row but the last; those cells
-    # fall every ``step`` cells exactly when each row has ``width`` tab-separated
-    # cells.  Slicing one flat list, rather than zip(*rows), frees no tuples:
-    # CPython 3.11 never reuses a freed 20-item tuple, so a zip would keep
-    # ~0.4 MB of them on a free list.
+    # Column j is cells[j::step] of one flat list of every row's cells: the
+    # block split at tabs, with a line-feed cell after each row but the last;
+    # those cells fall every ``step`` cells exactly when each row has
+    # ``width`` tab-separated cells.  Slicing one flat list, rather than
+    # zip(*rows), frees no tuples: CPython 3.11 never reuses a freed 20-item
+    # tuple, so a zip would keep ~0.4 MB of them on a free list.
     n = len(lines)
     step = width + 1
-    cells = "\t\n\t".join(lines).split("\t")
+    cells = block.split("\t")
     if len(cells) != n * step - 1 or cells[width::step].count("\n") != n - 1:
         rows = _rows(lines)
         if len(set(map(len, rows))) != 1:
@@ -149,7 +154,7 @@ def _parse_sentence(
     ):
         _check_rows(_rows(lines), width, has_negation, source, first_line)
     lemmas, tags = _optional(cells[4::step]), _optional(cells[5::step])
-    shared = None if gold is None else gold.get((doc_id, sent_no))
+    shared = gold.get((doc_id, sent_no))
     if shared is not None and (
         [t.surface for t in shared.tokens] == surfaces
         and [t.lemma for t in shared.tokens] == lemmas
@@ -271,31 +276,31 @@ def _parse_int(cell: str, source: str, lineno: int, what: str) -> int:
 
 
 def _parse_paired(
-    data: str | bytes | IO, gold: dict[str, Sentence], name: str = "", source: str = "<string>"
-) -> tuple[Corpus, dict[str, Sentence]]:
-    """``parse_sem_conll(data, name, source)``, read against ``gold``, the
-    sentences of a gold file by the text of their blocks (lines joined by
-    line feeds): an equal corpus, or the same first error.
+    data: str | bytes | IO, blocks: dict[str, Sentence], name: str = "", source: str = "<string>"
+) -> Corpus:
+    """``parse_sem_conll(data, name, source)``, read against ``blocks``, the
+    sentences of earlier reads by the text of their blocks (lines joined by
+    ``_ROW_BREAK``): an equal corpus, or the same first error.
 
-    A block whose text is a key of ``gold`` is that gold ``Sentence``.  Any
-    other block is read by ``_parse_sentence``, which takes the tokens of
-    the gold sentence with its key where the block's token columns are that
-    sentence's.  Returns the corpus and its sentences that are not in
-    ``gold``, by the text of their blocks: read with ``{}``, a gold file
-    gives the map that its predictions are read against.
+    A block whose text is a key of ``blocks`` is that ``Sentence``.  Any
+    other block is read by ``_parse_sentence``, taking the tokens of the
+    first sentence in ``blocks`` with its key where the block's token
+    columns are that sentence's, and is added to ``blocks`` once the whole
+    input has read, so a read that fails adds nothing.
     """
     text = _decode(data, source)
-    by_key = {s.key: s for s in gold.values()}
+    by_key = {s.key: s for s in reversed(blocks.values())}
     sentences = []
-    own: dict[str, Sentence] = {}
+    parsed: dict[str, Sentence] = {}
     for first_line, lines in _blocks(text):
-        block = "\n".join(lines)
-        sent = gold.get(block)
+        block = _ROW_BREAK.join(lines)
+        sent = blocks.get(block)
         if sent is None:
-            sent = own[block] = _parse_sentence(lines, first_line, source, by_key)
+            sent = parsed[block] = _parse_sentence(lines, block, first_line, source, by_key)
         sentences.append(sent)
     _check_keys(sentences, source, text)
-    return Corpus(tuple(sentences), name=name), own
+    blocks.update(parsed)
+    return Corpus(tuple(sentences), name=name)
 
 
 def write_sem_conll(corpus: Corpus) -> str:
@@ -439,17 +444,17 @@ def load_pair(gold, *preds) -> tuple[Corpus, ...]:
     """``(gold, *preds)``: the corpus of the CoNLL file at each path, as
     ``load_sem_conll`` reads and names it, with the same errors and lines.
 
-    Each prediction is read against the gold's own blocks, as ``negeval
-    evaluate`` and ``compare`` read a CoNLL pair: a block byte-identical to
-    a gold block is the gold's sentence, and any other block is read as
-    ``parse_sem_conll`` reads it, taking the tokens of the gold sentence
-    with its key when its surface, lemma and POS columns are that
-    sentence's.  The gold's blocks are dropped when this returns.
+    Each file is read against the blocks of every file before it, as
+    ``negeval evaluate`` and ``compare`` read a CoNLL pair: a block
+    byte-identical to an earlier block is that block's sentence, and any
+    other block is read as ``parse_sem_conll`` reads it, taking the tokens
+    of the first earlier sentence with its key, the gold's if there is one,
+    when its surface, lemma and POS columns are that sentence's.  The blocks
+    are dropped when this returns.
     """
-
-    def read(path, blocks: dict[str, Sentence]) -> tuple[Corpus, dict[str, Sentence]]:
+    blocks: dict[str, Sentence] = {}
+    corpora = []
+    for path in (gold, *preds):
         with open(path, "rb") as handle:
-            return _parse_paired(handle, blocks, name=str(path), source=str(path))
-
-    gold_corpus, blocks = read(gold, {})
-    return (gold_corpus, *(read(path, blocks)[0] for path in preds))
+            corpora.append(_parse_paired(handle, blocks, name=str(path), source=str(path)))
+    return tuple(corpora)

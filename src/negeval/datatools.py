@@ -9,7 +9,9 @@ hash for the documents it lists, which is how published splits are
 reproduced.
 
 Re-annotation patches replace one instance of one sentence with a list of
-new instances.  The patch file is line-oriented, one block per patch::
+new instances.  A patch names the instance by its position in the sentence
+(0 for the first), as the CoNLL format numbers instances.  The patch file
+is line-oriented, one block per patch::
 
     target<TAB>doc_id<TAB>sent_index<TAB>instance_id
     replace<TAB>cue/scope/event cells, three per token (CoNLL cell syntax)
@@ -186,7 +188,7 @@ def _unknown_target(
     sent = sentences.get((doc_id, sent_index))
     if sent is None:
         return f"unknown sentence {doc_id}#{sent_index}"
-    if all(inst.instance_id != instance_id for inst in sent.instances):
+    if not 0 <= instance_id < len(sent.instances):
         return f"unknown instance {doc_id}#{sent_index}/{instance_id}"
     if target in taken:
         return f"two patches target instance {doc_id}#{sent_index}/{instance_id}"
@@ -206,7 +208,8 @@ def _target_sentence(
 
 
 def apply_patches(corpus: Corpus, patches: list[ReannotationPatch]) -> Corpus:
-    """Replace targeted instances; instance ids are renumbered per sentence.
+    """Replace each targeted instance, the one at the patch's ``instance_id``
+    position in its sentence; instance ids are renumbered per sentence.
 
     Raises :class:`PatchError` at the first patch whose target does not
     exist or is an earlier patch's.  Patches with distinct targets commute.
@@ -225,9 +228,9 @@ def apply_patches(corpus: Corpus, patches: list[ReannotationPatch]) -> Corpus:
             out.append(sent)
             continue
         rebuilt: list[NegationInstance] = []
-        for inst in sent.instances:
-            if inst.instance_id in slot:
-                rebuilt.extend(slot[inst.instance_id].replacement)
+        for position, inst in enumerate(sent.instances):
+            if position in slot:
+                rebuilt.extend(slot[position].replacement)
             else:
                 rebuilt.append(inst)
         out.append(replace(sent, instances=renumber(rebuilt)))
@@ -339,7 +342,7 @@ def detect_coordination_cues(
     """
     patches = []
     for sent in corpus.sentences:
-        for inst in sent.instances:
+        for position, inst in enumerate(sent.instances):
             indices = sorted(e.token_index for e in inst.cue)
             if len(indices) < 2 or indices[-1] - indices[0] + 1 == len(indices):
                 continue
@@ -351,6 +354,6 @@ def detect_coordination_cues(
                 for e in sorted(inst.cue, key=lambda e: e.token_index)
             )
             patches.append(
-                ReannotationPatch(sent.doc_id, sent.sent_index, inst.instance_id, split)
+                ReannotationPatch(sent.doc_id, sent.sent_index, position, split)
             )
     return patches

@@ -306,27 +306,6 @@ def _records(sent: Sentence, punct: set[int] | None = None) -> list[tuple]:
     return records
 
 
-def _kept_instances(sent: Sentence, punct: set[int]) -> tuple[NegationInstance, ...]:
-    """``sent``'s instances as ``_records`` keeps them, with every element
-    on a ``punct`` token removed, numbered by position among the kept ones.
-
-    Returns ``sent.instances`` itself when that changes nothing, and keeps
-    unchanged instances as the same objects.
-    """
-    if not punct or not sent.instances:
-        return sent.instances
-    kept: list[NegationInstance] = []
-    changed = False
-    for n, (_, position, cue, scope) in enumerate(_records(sent, punct)):
-        inst = sent.instances[position]
-        event = _without(inst.event, punct)
-        if cue is not inst.cue or scope is not inst.scope or event is not inst.event or inst.instance_id != n:
-            inst = NegationInstance(cue, scope, event, n)
-            changed = True
-        kept.append(inst)
-    return tuple(kept) if changed or len(kept) != len(sent.instances) else sent.instances
-
-
 def strip_punctuation(corpus: Corpus) -> Corpus:
     """Remove punctuation tokens from every cue/scope/event set.
 
@@ -339,9 +318,18 @@ def strip_punctuation(corpus: Corpus) -> Corpus:
     """
     out_sentences = []
     for sent in corpus.sentences:
-        kept = _kept_instances(sent, _punct_indices(sent.tokens))
-        if kept is not sent.instances:
-            sent = Sentence(sent.doc_id, sent.sent_index, sent.tokens, kept)
+        punct = _punct_indices(sent.tokens)
+        if punct and sent.instances:
+            kept, changed = [], False
+            for n, (_, position, cue, scope) in enumerate(_records(sent, punct)):
+                inst = sent.instances[position]
+                event = _without(inst.event, punct)
+                if cue is not inst.cue or scope is not inst.scope or event is not inst.event or inst.instance_id != n:
+                    inst = NegationInstance(cue, scope, event, n)
+                    changed = True
+                kept.append(inst)
+            if changed or len(kept) != len(sent.instances):
+                sent = Sentence(sent.doc_id, sent.sent_index, sent.tokens, tuple(kept))
         out_sentences.append(sent)
     return replace(corpus, sentences=tuple(out_sentences))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import weakref
 from dataclasses import dataclass, field
+from operator import methodcaller
 
 from .alignment import CueMatchMode, _match, _sentence_pairs
 from .errors import UsageError
@@ -33,30 +34,38 @@ from .model import strip_punctuation  # noqa: E402,F401
 
 SCHEMA_VERSION = 1
 
-#: Report keys in presentation order (the text table mirrors this).
-METRIC_ORDER = (
-    "cues_exact",
-    "cues_exact_b",
-    "cues_partial",
-    "cues_partial_b",
-    "scm",
-    "scm_b",
-    "st",
-    "inst_tok",
-    "inst_ex",
+#: Every metric of a report, in presentation order: its key, its label in
+#: the text table, and how ``full_report`` reads it from the tally.
+_METRICS = (
+    ("cues_exact", "Cues", methodcaller("cue_prf", CueMatchMode.EXACT, "standard")),
+    ("cues_exact_b", "Cues-B", methodcaller("cue_prf", CueMatchMode.EXACT, "b")),
+    ("cues_partial", "Cues (partial)", methodcaller("cue_prf", CueMatchMode.PARTIAL, "standard")),
+    ("cues_partial_b", "Cues-B (partial)", methodcaller("cue_prf", CueMatchMode.PARTIAL, "b")),
+    ("scm", "SCM", methodcaller("scope_match_prf", "standard")),
+    ("scm_b", "SCM-B", methodcaller("scope_match_prf", "b")),
+    ("st", "ST", methodcaller("scope_tokens_prf")),
+    ("inst_tok", "Inst-tok", methodcaller("instance_prf", TOKEN_SCORER)),
+    ("inst_ex", "Inst-ex", methodcaller("instance_prf", EXACT_SCORER)),
 )
 
-_LABELS = {
-    "cues_exact": "Cues",
-    "cues_exact_b": "Cues-B",
-    "cues_partial": "Cues (partial)",
-    "cues_partial_b": "Cues-B (partial)",
-    "scm": "SCM",
-    "scm_b": "SCM-B",
-    "st": "ST",
-    "inst_tok": "Inst-tok",
-    "inst_ex": "Inst-ex",
-}
+#: Report keys in presentation order.
+METRIC_ORDER = tuple(key for key, _, _ in _METRICS)
+
+_LABELS = {key: label for key, label, _ in _METRICS}
+
+#: The text table's headline, before its CNS column: each column's label,
+#: and the metric and ``PRF`` field it shows.
+_HEADLINE = (
+    ("Cues-B", "cues_exact_b", "f1"),
+    ("SCM", "scm", "f1"),
+    ("SCM-B", "scm_b", "f1"),
+    ("ST P", "st", "precision"),
+    ("ST R", "st", "recall"),
+    ("ST F1", "st", "f1"),
+    ("Inst P", "inst_tok", "precision"),
+    ("Inst R", "inst_tok", "recall"),
+    ("Inst F1", "inst_tok", "f1"),
+)
 
 
 def _json_text(value, indent: str = "") -> str:
@@ -161,21 +170,10 @@ class MetricReport:
         """Aligned table with the classic column order: cue F1, scope-level
         F1s, then P/R/F1 for the token- and instance-level scores."""
         lines = [f"# schema_version {SCHEMA_VERSION}"]
-        headline_keys = ("cues_exact_b", "scm", "scm_b", "st", "inst_tok")
-        if all(key in self.metrics for key in headline_keys):
-            header = ["Cues-B", "SCM", "SCM-B", "ST P", "ST R", "ST F1", "Inst P", "Inst R", "Inst F1", "CNS"]
-            row = [
-                f"{percent(self.metrics['cues_exact_b'].f1):.1f}",
-                f"{percent(self.metrics['scm'].f1):.1f}",
-                f"{percent(self.metrics['scm_b'].f1):.1f}",
-                f"{percent(self.metrics['st'].precision):.1f}",
-                f"{percent(self.metrics['st'].recall):.1f}",
-                f"{percent(self.metrics['st'].f1):.1f}",
-                f"{percent(self.metrics['inst_tok'].precision):.1f}",
-                f"{percent(self.metrics['inst_tok'].recall):.1f}",
-                f"{percent(self.metrics['inst_tok'].f1):.1f}",
-                f"{percent(self.sentence_accuracy.ratio):.1f}",
-            ]
+        if all(key in self.metrics for _, key, _ in _HEADLINE):
+            header = [label for label, _, _ in _HEADLINE] + ["CNS"]
+            ratios = [getattr(self.metrics[key], attr) for _, key, attr in _HEADLINE]
+            row = [f"{percent(r):.1f}" for r in (*ratios, self.sentence_accuracy.ratio)]
             widths = [max(len(h), len(v)) for h, v in zip(header, row)]
             lines.append("  ".join(h.rjust(w) for h, w in zip(header, widths)))
             lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)))
@@ -289,17 +287,7 @@ def full_report(
     so scoring the same object again does that work only for ``pred``.
     """
     tally = _count(gold, pred, keep_punct, cns_all_sentences)
-    metrics = {
-        "cues_exact": tally.cue_prf(CueMatchMode.EXACT, "standard"),
-        "cues_exact_b": tally.cue_prf(CueMatchMode.EXACT, "b"),
-        "cues_partial": tally.cue_prf(CueMatchMode.PARTIAL, "standard"),
-        "cues_partial_b": tally.cue_prf(CueMatchMode.PARTIAL, "b"),
-        "scm": tally.scope_match_prf("standard"),
-        "scm_b": tally.scope_match_prf("b"),
-        "st": tally.scope_tokens_prf(),
-        "inst_tok": tally.instance_prf(TOKEN_SCORER),
-        "inst_ex": tally.instance_prf(EXACT_SCORER),
-    }
+    metrics = {key: read(tally) for key, _, read in _METRICS}
     metadata = {
         "gold": gold.name,
         "pred": pred.name,

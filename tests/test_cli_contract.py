@@ -116,7 +116,7 @@ def _evaluate_paired_and_plain(capsys, gold: str, pred: str, paths: Counter) -> 
         return _read_counting_paths(paths, blocks.values(), parse_paired, data, blocks, name, source)
 
     def plain(data, blocks, name, source):
-        return (load_sem_conll(source), {}) if blocks else parse_paired(data, blocks, name, source)
+        return load_sem_conll(source) if blocks else parse_paired(data, blocks, name, source)
 
     outputs = []
     for read in (counting, plain):

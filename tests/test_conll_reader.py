@@ -436,9 +436,10 @@ _D0_CLEARED = "\n".join(line.rsplit("\t", 3)[0] + "\t***" for line in _D0.split(
     ],
 )
 def test_a_prediction_read_against_its_gold_reads_as_parse_sem_conll_reads_it(gold_text, pred_text, gold_sentences):
-    gold, blocks = _parse_paired(gold_text, {})
+    blocks: dict = {}
+    gold = _parse_paired(gold_text, blocks)
     paired = _outcome(
-        lambda: _read_counting_paths(Counter(), gold.sentences, _parse_paired, pred_text, blocks, "p", "p.conll")[0]
+        lambda: _read_counting_paths(Counter(), gold.sentences, _parse_paired, pred_text, blocks, "p", "p.conll")
     )
     assert paired == _outcome(lambda: parse_sem_conll(pred_text, "p", "p.conll"))
     if gold_sentences is None:
@@ -454,8 +455,9 @@ def test_a_prediction_read_against_its_gold_reads_as_parse_sem_conll_reads_it(go
     ids=["another syntax cell", "a sentence number written otherwise"],
 )
 def test_a_block_with_the_gold_surface_lemma_and_pos_columns_shares_the_gold_tokens(pred_text):
-    gold, blocks = _parse_paired(GOLD, {})
-    paired, _ = _parse_paired(pred_text, blocks)
+    blocks: dict = {}
+    gold = _parse_paired(GOLD, blocks)
+    paired = _parse_paired(pred_text, blocks)
     assert paired == parse_sem_conll(pred_text)
     assert [p.tokens is g.tokens for p, g in zip(paired.sentences, gold.sentences)] == [True, True]
     assert [p is g for p, g in zip(paired.sentences, gold.sentences)].count(False) == 1
@@ -491,6 +493,18 @@ def test_load_pair_shares_the_gold_sentences_and_tokens_a_prediction_repeats():
         shared.update(("sentence" if p is g else "tokens" if p.tokens is g.tokens else "none") for p, g in pairs)
     # both systems repeat some gold blocks byte for byte and only the token columns of others
     assert shared["sentence"] and shared["tokens"], shared
+
+
+def test_load_pair_reads_each_prediction_against_the_blocks_of_the_files_before_it(tmp_path):
+    system = GOLD.replace("\t_\tbad\t_", "\t_\t_\t_")  # d#0 differs from the gold, d#1 is the gold's
+    paths = [tmp_path / name for name in ("gold.conll", "a.conll", "b.conll")]
+    for path, text in zip(paths, (GOLD, system, system)):
+        path.write_text(text, encoding="utf-8")
+    gold, a, b = load_pair(*paths)
+    assert (a, b) == (parse_sem_conll(system, str(paths[1])), parse_sem_conll(system, str(paths[2])))
+    assert [s is g for s, g in zip(a.sentences, gold.sentences)] == [False, True]
+    assert [s is t for s, t in zip(b.sentences, a.sentences)] == [True, True]
+    assert a.sentences[0].tokens is gold.sentences[0].tokens
 
 
 def test_load_pair_raises_the_error_load_sem_conll_raises(tmp_path):

@@ -194,6 +194,23 @@ class TestPatches:
         patched = apply_patches(gold_corpus, [patch])
         assert patched.sentences[1:] == gold_corpus.sentences[1:]
 
+    def test_a_patch_targets_an_instance_by_its_position(self):
+        # two instances built in Python keep the default instance_id 0
+        sent = coordination_sentence()
+        (inst,) = sent.instances
+        other = NegationInstance(frozenset({AnnotationElement(4)}), frozenset({AnnotationElement(5)}))
+        corpus = Corpus((Sentence("cd", 7, sent.tokens, (inst, other)),))
+        new = NegationInstance(frozenset({AnnotationElement(2)}))
+        first = apply_patches(corpus, [ReannotationPatch("cd", 7, 0, (new,))]).sentences[0].instances
+        assert [(i.cue, i.instance_id) for i in first] == [(new.cue, 0), (other.cue, 1)]
+        second = apply_patches(corpus, [ReannotationPatch("cd", 7, 1, (new,))]).sentences[0].instances
+        assert [(i.cue, i.instance_id) for i in second] == [(inst.cue, 0), (new.cue, 1)]
+        with pytest.raises(PatchError, match=r"^patch targets unknown instance cd#7/2$"):
+            apply_patches(corpus, [ReannotationPatch("cd", 7, 2, (new,))])
+        # the coordination cue is the second instance, whatever its id says
+        (patch,) = detect_coordination_cues(Corpus((Sentence("cd", 7, sent.tokens, (other, inst)),)))
+        assert patch.target == ("cd", 7, 1)
+
     def test_distinct_targets_commute(self):
         corpus = Corpus((coordination_sentence(), coordination_sentence()))
         corpus = Corpus(
@@ -347,9 +364,7 @@ def test_patch_files_round_trip_every_set():
     for seed in range(200):
         for corpus in corpus_pair(seed):
             patches = [
-                ReannotationPatch(
-                    s.doc_id, s.sent_index, s.instances[0].instance_id, tuple(i for i in s.instances if i.cue)
-                )
+                ReannotationPatch(s.doc_id, s.sent_index, 0, tuple(i for i in s.instances if i.cue))
                 for s in corpus.sentences
                 if any(i.cue for i in s.instances)
             ]

@@ -139,15 +139,14 @@ def _read_counting_paths(paths: Counter, gold_sentences, read, *args):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(negeval.conll, "_parse_sentence", counting_parse_sentence)
-        result = read(*args)
-    corpus = result[0]
+        corpus = read(*args)
     from_gold = [id(sent) in gold_ids for sent in corpus.sentences]
     paths["gold sentence"] += sum(from_gold)
     assert [id(sent.tokens) in gold_tokens for sent in corpus.sentences] == [
         gold or (sent.key in by_key and columns(sent) == columns(by_key[sent.key]))
         for gold, sent in zip(from_gold, corpus.sentences)
     ], args[0]
-    return result
+    return corpus
 
 
 def _edit_annotation(rng: random.Random, text: str) -> str:
@@ -173,19 +172,21 @@ def test_a_prediction_read_against_its_gold_reads_as_parse_sem_conll_reads_it():
         mutated = _mutate(rng, original)  # the mutations of the test above, case by case
         if read is not parse_sem_conll:
             continue
-        gold, blocks = _parse_paired(original, {}, source="gold")
+        blocks: dict = {}
+        gold = _parse_paired(original, blocks, source="gold")
         for text in (mutated, _edit_annotation(edits, original)):
             expected = _outcome(lambda: parse_sem_conll(text, source="pred"))
             got = _outcome(
-                lambda: _read_counting_paths(paths, gold.sentences, _parse_paired, text, blocks, "", "pred")[0]
+                lambda: _read_counting_paths(paths, gold.sentences, _parse_paired, text, dict(blocks), "", "pred")
             )
             assert got == expected, f"case {case}: {name}: {text!r}"
             # read as a gold, against no blocks: the same outcome, and each sentence by its block's text
-            as_gold = _outcome(lambda: _parse_paired(text, {}, "", "pred"))
+            filled: dict = {}
+            as_gold = _outcome(lambda: _parse_paired(text, filled, "", "pred"))
             if as_gold[0] == "ok":
-                corpus, own = as_gold[1]
+                corpus = as_gold[1]
                 assert ("ok", corpus) == expected, f"case {case}: {name}: {text!r}"
-                assert own == {"\n".join(lines): s for (_, lines), s in zip(_blocks(text), corpus.sentences)}
+                assert filled == {"\t\n\t".join(lines): s for (_, lines), s in zip(_blocks(text), corpus.sentences)}
             else:
                 assert as_gold == expected, f"case {case}: {name}: {text!r}"
     assert all(paths[path] > 100 for path in ("gold sentence", "gold tokens", "own tokens")), paths

@@ -361,7 +361,7 @@ def _patches(corpus: Corpus) -> list[ReannotationPatch]:
     """A patch for each sentence that a patch can target, replacing its
     first instance with all of its instances."""
     by_key = {s.key: s for s in corpus.sentences}
-    return [ReannotationPatch(*s.key, s.instances[0].instance_id, s.instances) for s in by_key.values() if s.instances]
+    return [ReannotationPatch(*s.key, 0, s.instances) for s in by_key.values() if s.instances]
 
 
 def _graphs_read_back(corpus: Corpus, kind: EncodingKind, text: str) -> bool:
