@@ -36,9 +36,10 @@ def _blocks(text: str) -> Iterator[tuple[int, list[str]]]:
     """Each block of non-blank lines, with the number of its first line.
 
     Lines end at a line feed and lose any trailing carriage returns; a line
-    of whitespace ends a block as an empty one does.
+    of whitespace ends a block as an empty one does.  One byte-order mark
+    at the start of ``text`` is dropped; one anywhere else stays text.
     """
-    lines = text.split("\n")
+    lines = text.removeprefix("\ufeff").split("\n")
     if "\r" in text:
         lines = [line.rstrip("\r") for line in lines]
     start = 0

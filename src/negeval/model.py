@@ -39,7 +39,7 @@ def is_punct_surface(surface: str) -> bool:
     return bool(surface) and all(unicodedata.category(ch).startswith("P") for ch in surface)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One token of a sentence.  ``index`` is the 0-based sentence position."""
 
@@ -48,22 +48,6 @@ class Token:
     lemma: str | None = None
     pos: str | None = None
     is_punct: bool = False
-
-    def __init__(
-        self,
-        index: int,
-        surface: str,
-        lemma: str | None = None,
-        pos: str | None = None,
-        is_punct: bool = False,
-    ) -> None:
-        # The generated frozen __init__ calls object.__setattr__ per field;
-        # the slot descriptors store the same values in half the time.
-        _set_index(self, index)
-        _set_surface(self, surface)
-        _set_lemma(self, lemma)
-        _set_pos(self, pos)
-        _set_is_punct(self, is_punct)
 
 
 _set_index, _set_surface, _set_lemma, _set_pos, _set_is_punct = (
@@ -89,10 +73,11 @@ def _tokens(
     surfaces: Sequence[str], lemmas: Sequence[str | None] | None = None, tags: Sequence[str | None] | None = None
 ) -> tuple[Token, ...]:
     """Tokens numbered from 0 with ``surfaces`` and, where given, ``lemmas``
-    and POS ``tags``: the one token builder of the readers.
+    and POS ``tags``: the one token builder of the package, and the one
+    place that sets ``is_punct``, by ``_punct_flags``.
 
-    Each field is set a column at a time through the slot descriptors that
-    ``Token.__init__`` uses, which saves a call per token.
+    Each field is set a column at a time through the class's slot
+    descriptors, which saves the frozen ``__init__`` call per token.
     """
     n = len(surfaces)
     tokens = list(map(object.__new__, repeat(Token, n)))

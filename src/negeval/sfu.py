@@ -83,8 +83,9 @@ def _parse_sentence(sent_el: ET.Element, doc_id: str, sent_index: int, source: s
 
     walk(sent_el, (), ())
 
+    known_cues = {el.get("ID", el.get("id", "")) for el in sent_el.iter("cue")}
     for ref in scope_words:
-        if ref not in _all_cue_ids(sent_el):
+        if ref not in known_cues:
             raise ParseError(f"{where}: scope references unknown cue id {ref!r}", source)
 
     tokens = _tokens(surfaces)
@@ -94,7 +95,3 @@ def _parse_sentence(sent_el: ET.Element, doc_id: str, sent_index: int, source: s
         scope = frozenset(element_for(tokens[i]) for i in scope_words.get(cue_id, []))
         instances.append(NegationInstance(cue, scope, instance_id=k))
     return Sentence(doc_id=doc_id, sent_index=sent_index, tokens=tokens, instances=tuple(instances))
-
-
-def _all_cue_ids(sent_el: ET.Element) -> set[str]:
-    return {el.get("ID", el.get("id", "")) for el in sent_el.iter("cue")}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .model import Corpus, NegationInstance, Sentence, Token, element_for, renumber
+from .model import Corpus, NegationInstance, Sentence, _tokens, element_for, renumber
 
 _WORDS = (
     "the", "a", "cat", "dog", "sat", "saw", "no", "not", "never", "remark",
@@ -30,16 +30,18 @@ def random_sentence(
     punct_prob: float = 0.2,
 ) -> Sentence:
     n = rng.randint(1, max_tokens)
-    tokens = []
-    for i in range(n):
+    surfaces, tags = [], []
+    for _ in range(n):
         if rng.random() < punct_prob:
             surface = rng.choice(_PUNCT)
             # PTB-style: sentence-final marks tag as ".", everything else ":"
-            pos = surface if surface in (",", ".") else ("." if surface in ("!", "?") else ":")
-            tokens.append(Token(i, surface, surface, pos, is_punct=True))
+            tags.append(surface if surface in (",", ".") else ("." if surface in ("!", "?") else ":"))
         else:
             surface = rng.choice(_WORDS)
-            tokens.append(Token(i, surface, surface, rng.choice(_POS_WORD), is_punct=False))
+            tags.append(rng.choice(_POS_WORD))
+        surfaces.append(surface)
+    # every punctuation tag is in DEFAULT_PUNCT_POS and no word tag is
+    tokens = _tokens(surfaces, surfaces, tags)
     non_punct = [t.index for t in tokens if not t.is_punct]
     instances = []
     if non_punct:
@@ -58,7 +60,7 @@ def random_sentence(
                     instance_id=k,
                 )
             )
-    return Sentence(doc_id=doc_id, sent_index=sent_index, tokens=tuple(tokens), instances=tuple(instances))
+    return Sentence(doc_id=doc_id, sent_index=sent_index, tokens=tokens, instances=tuple(instances))
 
 
 def random_corpus(
@@ -140,7 +142,7 @@ def random_laminar_sentence(
     Each nesting level places its cue and scope strictly inside the parent's
     scope, with distinct representatives, so both graph encodings round-trip.
     """
-    tokens = tuple(Token(i, rng.choice(_WORDS), None, "NN") for i in range(n_tokens))
+    tokens = _tokens([rng.choice(_WORDS) for _ in range(n_tokens)], None, ["NN"] * n_tokens)
     instances = []
 
     def build(lo: int, hi: int, level: int) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import gc
 import json
 import os
@@ -784,6 +785,22 @@ def test_split_assignment_reads_lines_as_the_corpus_reader_does(capsys, tmp_path
     assert code == EXIT_OK
     assert err.splitlines()[-1].endswith("p.test.conll (1 sentences)")
     assert load_sem_conll(tmp_path / "p.test.conll").sentences[0].doc_id == "a\x85b"
+
+
+def test_evaluate_reads_a_byte_order_marked_gold_as_the_plain_one(capsys, tmp_path, monkeypatch):
+    # the JSON report names its inputs, so both golds are read as "gold.conll"
+    gold = Path(GOLD).read_bytes()
+    outputs = []
+    for name, data in (("plain", gold), ("marked", codecs.BOM_UTF8 + gold)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "gold.conll").write_bytes(data)
+        monkeypatch.chdir(tmp_path / name)
+        outputs.append([
+            run(capsys, "evaluate", "--gold", "gold.conll", "--pred", SYS_A, "--out", out)
+            for out in ("text", "json", "tsv")
+        ])
+    assert outputs[0][0][0] == EXIT_OK
+    assert outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize("ratios, shown", [("50/50", "(50, 50)"), ("60/20/10/10", "(60, 20, 10, 10)")])

@@ -7,6 +7,7 @@ own."""
 
 from __future__ import annotations
 
+import codecs
 import random
 from collections import Counter
 
@@ -15,17 +16,24 @@ import pytest
 from conftest import fixture_path
 from negeval import (
     Corpus,
+    EncodingKind,
     NegationInstance,
     ParseError,
+    ReannotationPatch,
     Sentence,
     Token,
+    TokenizerConfig,
     element_for,
+    format_patch_file,
     full_report,
     load_sem_conll,
+    parse_patch_file,
     parse_sem_conll,
     write_sem_conll,
 )
 from negeval.conll import _blocks, _parse_paired, load_pair
+from negeval.datatools import parse_assignment
+from negeval.depgraph import decode_corpus, encode_corpus
 from negeval.model import is_punct_surface
 from negeval.testing import random_corpus
 from test_reader_contract import _outcome, _read_counting_paths
@@ -523,3 +531,72 @@ def test_a_report_on_load_pair_is_the_report_on_two_plain_reads():
     for pred in _PAIR[1:]:
         plain = full_report(load_sem_conll(_PAIR[0]), load_sem_conll(pred))
         assert full_report(*load_pair(_PAIR[0], pred)).to_json() == plain.to_json()
+
+
+# ---------------------------------------------------------------------------
+# A leading byte-order mark: every line reader drops one, as ``_blocks`` does
+
+_BOM = "\ufeff"
+
+
+def _marked_copy(path, directory):
+    """A copy of the file at ``path`` in ``directory``, its bytes led by a UTF-8 byte-order mark."""
+    copy = directory / path.name
+    copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return copy
+
+
+def test_blocks_drop_one_leading_byte_order_mark_and_keep_any_other():
+    assert list(_blocks(_BOM + "a\n\nb")) == [(1, ["a"]), (3, ["b"])]
+    assert list(_blocks(_BOM + "\r\n a\n")) == [(2, [" a"])]
+    assert list(_blocks(_BOM + _BOM + "a")) == [(1, [_BOM + "a"])]
+    assert list(_blocks("a\n" + _BOM + "\nb" + _BOM)) == [(1, ["a", _BOM, "b" + _BOM])]
+
+
+def test_a_byte_order_marked_conll_text_reads_as_the_plain_one():
+    text = _PAIR[0].read_text("utf-8")
+    assert parse_sem_conll(_BOM + text, "g") == parse_sem_conll(text, "g")
+    assert parse_sem_conll(codecs.BOM_UTF8 + text.encode(), "g") == parse_sem_conll(text, "g")
+    # a repeated key names the same line with the mark as without it
+    lines = text.rstrip("\n").split("\n")
+    repeated = "\n".join([*lines, "", *text.split("\n\n")[0].split("\n")])
+    expected = _outcome(lambda: parse_sem_conll(repeated))
+    assert expected[0] is ParseError and expected[3] == len(lines) + 2
+    assert _outcome(lambda: parse_sem_conll(_BOM + repeated)) == expected
+
+
+def test_load_pair_reads_byte_order_marked_files_as_the_plain_ones(tmp_path):
+    marked = load_pair(*(_marked_copy(path, tmp_path) for path in _PAIR))
+    plain = load_pair(*_PAIR)
+    assert [corpus.sentences for corpus in marked] == [corpus.sentences for corpus in plain]
+
+    def shared(corpora):
+        gold, *preds = corpora
+        return [[p is g for p, g in zip(pred.sentences, gold.sentences)] for pred in preds]
+
+    assert shared(marked) == shared(plain)
+
+
+def test_a_byte_order_marked_graph_decodes_as_the_plain_one():
+    gold = load_sem_conll(_PAIR[0])
+    for kind in EncodingKind:
+        graph = encode_corpus(gold, kind)
+        assert decode_corpus(_BOM + graph, kind) == decode_corpus(graph, kind)
+
+
+def test_a_byte_order_marked_patch_reads_as_the_plain_one():
+    gold = load_sem_conll(_PAIR[0])
+    sent = next(s for s in gold.sentences if s.instances)
+    text = format_patch_file(gold, [ReannotationPatch(sent.doc_id, sent.sent_index, 0, sent.instances[:1])])
+    assert parse_patch_file(_BOM + text, gold) == parse_patch_file(text, gold)
+
+
+def test_a_byte_order_marked_assignment_reads_as_the_plain_one():
+    text = "doc1\ttest\n# a comment\ndoc2 dev\n"
+    assert parse_assignment(_BOM + text) == parse_assignment(text) == {"doc1": "test", "doc2": "dev"}
+
+
+def test_a_byte_order_marked_tokenizer_rule_file_reads_as_the_plain_one(tmp_path):
+    rules = fixture_path("tokenizer.rules")
+    assert rules.read_text("utf-8").startswith("#")
+    assert TokenizerConfig.from_file(_marked_copy(rules, tmp_path)) == TokenizerConfig.from_file(rules)

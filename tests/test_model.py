@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import unicodedata
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -23,8 +24,8 @@ from negeval import (
 )
 from conftest import fixture_path, outputs_under_hash_seeds
 from negeval.conll import parse_sem_conll
-from negeval.model import is_punct_surface
-from negeval.testing import random_corpus
+from negeval.model import DEFAULT_PUNCT_POS, _punct_flags, _tokens, is_punct_surface
+from negeval.testing import random_corpus, random_laminar_sentence, random_sentence
 
 
 def make_sentence(surfaces, punct=(), instances=()):
@@ -257,7 +258,7 @@ class TestValidate:
 
 
 # ---------------------------------------------------------------------------
-# Token against the dataclass it replaces
+# Token is the plain dataclass that ReferenceToken spells out
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -325,6 +326,56 @@ class TestTokenContract:
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(token, name)
         assert token == Token(0, "no")
+
+
+# ---------------------------------------------------------------------------
+# _tokens, the one token builder of the package
+
+_SURFACES = ("no", "not", "cat", "x1", "é", ",", ".", "...", "(", "--")
+_TAGS = ("NN", "RB", "X", ",", ".", "PUNCT", "HYPH")
+
+
+def test_tokens_are_the_tokens_token_builds_with_the_punctuation_rule():
+    rng = random.Random(25)
+    seen: Counter[str] = Counter()
+    for case in range(2000):
+        n = rng.randrange(12)
+        surfaces = rng.choices(_SURFACES, k=n)
+        lemmas = rng.choice([None, list(surfaces), rng.choices((None, *_SURFACES), k=n)])
+        tags = rng.choice([None, rng.choices(_TAGS, k=n), rng.choices((None, *_TAGS), k=n)])
+        tokens = _tokens(surfaces, lemmas, tags)
+        twins = tuple(
+            Token(i, s, None if lemmas is None else lemmas[i], None if tags is None else tags[i], flag)
+            for i, (s, flag) in enumerate(zip(surfaces, _punct_flags(surfaces, tags)))
+        )
+        assert tokens == twins, f"case {case}"
+        assert list(map(hash, tokens)) == list(map(hash, twins)), f"case {case}"
+        seen["no lemma column"] += lemmas is None
+        seen["some lemmas missing"] += lemmas is not None and None in lemmas
+        seen["no tag column"] += tags is None
+        seen["some tags missing"] += tags is not None and None in tags and len(set(tags)) > 1
+        for token in tokens:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                token.is_punct = not token.is_punct
+            if token.pos in DEFAULT_PUNCT_POS:
+                seen["punctuation by tag"] += 1
+            elif token.pos is None and token.is_punct:
+                seen["punctuation by surface"] += 1
+            elif is_punct_surface(token.surface) and not token.is_punct:
+                seen["punctuation surface under a word tag"] += 1
+    assert len(seen) == 7 and min(seen.values()) > 100, seen
+
+
+def test_the_generators_flag_punctuation_by_the_rule_of_their_tags():
+    rng = random.Random(3)
+    punct = 0
+    for _ in range(200):
+        for sent in (random_sentence(rng, "d", 0, punct_prob=0.3), random_laminar_sentence(rng)):
+            surfaces, tags = [t.surface for t in sent.tokens], [t.pos for t in sent.tokens]
+            flags = [t.is_punct for t in sent.tokens]
+            assert flags == _punct_flags(surfaces, tags) == list(map(is_punct_surface, surfaces))
+            punct += sum(flags)
+    assert punct > 100
 
 
 # ---------------------------------------------------------------------------
