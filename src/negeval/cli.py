@@ -71,7 +71,7 @@ def _sniff_format(path: Path) -> str:
 
 
 def _format(path: Path, args) -> str:
-    return getattr(args, "format", None) or _sniff_format(path)
+    return args.format or _sniff_format(path)
 
 
 def _load_corpus(path_text: str, args) -> Corpus:
@@ -83,9 +83,7 @@ def _load_corpus(path_text: str, args) -> Corpus:
         from .bioscope import load_bioscope
         from .tokenizer import TokenizerConfig
 
-        tokenizer = (
-            TokenizerConfig.from_file(args.tokenizer) if getattr(args, "tokenizer", None) else None
-        )
+        tokenizer = TokenizerConfig.from_file(args.tokenizer) if args.tokenizer else None
         return load_bioscope(path, tokenizer)
     # fmt is "sfu": argparse and _sniff_format give no other value
     from .sfu import load_sfu
@@ -94,7 +92,7 @@ def _load_corpus(path_text: str, args) -> Corpus:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text, encoding="utf-8", newline="")
     else:
         sys.stdout.write(text)
@@ -112,7 +110,7 @@ def _load_scored(args, pred_paths: tuple[str, ...]) -> tuple[Corpus, list[Corpus
     be opened fails only when its turn to be read comes.
     """
     paths = (args.gold, *pred_paths)
-    fmt = getattr(args, "format", None)
+    fmt = args.format
     xml = any(Path(p).suffix.lower() == ".xml" for p in paths)
     if fmt == "conll" or (fmt is None and not xml):
         gold, *preds = load_pair(*paths)

@@ -110,18 +110,18 @@ def encode(
         reps.append(rep)
 
     edges: set[Edge] = set()
-    for (cue, _, _), rep in zip(insts, reps):
+    for (cue, _, event), rep in zip(insts, reps):
         edges.add(Edge(None, rep, LABEL_CUE))
         for c in cue:
             if c != rep:
                 edges.add(Edge(rep, c, LABEL_MULTIWORD))
+        for t in event:
+            edges.add(Edge(rep, t, LABEL_EVENT))
 
     if kind is EncodingKind.DIRECT:
-        for (_, scope, event), rep in zip(insts, reps):
+        for (_, scope, _), rep in zip(insts, reps):
             for t in scope:
                 edges.add(Edge(rep, t, LABEL_SCOPE))
-            for t in event:
-                edges.add(Edge(rep, t, LABEL_EVENT))
         return NegDepGraph(len(sentence.tokens), frozenset(edges))
 
     # Nested encoding: attach each scope token to the innermost instance
@@ -134,12 +134,9 @@ def encode(
         return a != b and full[b] <= scopes[a]
 
     non_laminar = False
-    all_scope_tokens = sorted(set().union(*scopes)) if scopes else []
-    for t in all_scope_tokens:
+    for t in set().union(*scopes):
         containing = [i for i in range(len(insts)) if t in scopes[i]]
-        minimal = [
-            i for i in containing if not any(nested_in(j, i) for j in containing if j != i)
-        ]
+        minimal = [i for i in containing if not any(nested_in(j, i) for j in containing)]
         if len(minimal) == 1:
             targets = minimal
         elif not minimal and all(
@@ -160,9 +157,6 @@ def encode(
             "non-laminar-scopes",
             "overlapping instances without containment; overlap tokens attached directly",
         )
-    for (_, _, event), rep in zip(insts, reps):
-        for t in event:
-            edges.add(Edge(rep, t, LABEL_EVENT))
     graph = NegDepGraph(len(sentence.tokens), frozenset(edges))
     if diagnostics is not None and not _decodes_to(graph, insts):
         diag("nested-lossy", "the nested graph does not decode to these instances")
@@ -283,11 +277,6 @@ def encode_corpus(corpus: Corpus, kind: EncodingKind, diagnostics: list[Diagnost
     blocks = [format_graph(s, encode(s, kind, diagnostics)) for s in corpus.sentences]
     _check_distinct_keys(corpus.sentences)
     return ("\n\n".join(blocks) + "\n") if blocks else ""
-
-
-def parse_graph_corpus(text: str, source: str = "<string>") -> list[tuple[str, int, tuple[str, ...], NegDepGraph]]:
-    """Parse serialised graphs back into (doc_id, sent_index, surfaces, graph)."""
-    return [_parse_graph_block(lines, first_line, source) for first_line, lines in _blocks(text)]
 
 
 def _parse_graph_block(lines: list[str], first_line: int, source: str):

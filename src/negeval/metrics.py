@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .alignment import CueMatchMode, InstanceAlignment, _sentence_pairs
 from .errors import UsageError
@@ -146,8 +146,9 @@ class _Tally:
     """Every count behind the corpus-level scores, added one sentence at a time.
 
     ``add`` takes one sentence's matching in one cue-match mode and counts
-    cues, per mode.  ``add_scopes`` takes the same sentence's exact matching
-    and counts scopes, with the sums of the per-instance ``scorers``.
+    cues, per mode.  ``add_scopes`` takes the same sentence's matching and
+    counts scopes, with the sums of the per-instance ``scorers``; the scope
+    scores read those counts only when the matching is exact.
     ``add_sentence`` counts CNS.  An instance reaches the tally as a tuple
     that ends with its cue and scope sets: a ``model._records`` record, or
     the ``(cue, scope)`` pair that ``_fold`` reads.  Sums are added in the
@@ -231,18 +232,26 @@ class _Tally:
 
 
 def _fold(
-    alignments: Sequence[InstanceAlignment], scopes: bool = False, scorers: Sequence[ScopeScorer] = ()
+    alignments: Iterable[InstanceAlignment],
+    mode: CueMatchMode,
+    caller: str,
+    scorers: Sequence[ScopeScorer] = (),
 ) -> _Tally:
-    """A tally of ``alignments``; the scope counts only with ``scopes``."""
+    """A tally of ``alignments``, read once.  Raises :class:`UsageError` at
+    the first alignment built with a cue-match mode other than ``mode``."""
     tally = _Tally(scorers)
     for a in alignments:
-        tally.add(a.mode, a.matched, a.unmatched_gold, a.unmatched_pred, a.partial_only_pred)
-        if scopes:
-            tally.add_scopes(
-                [((g.cue, g.scope), (p.cue, p.scope)) for g, p in a.matched],
-                [(g.cue, g.scope) for g in a.unmatched_gold],
-                [(p.cue, p.scope) for p in a.unmatched_pred],
+        if a.mode is not mode:
+            raise UsageError(
+                f"{caller}: alignment for {a.doc_id}#{a.sent_index} was built "
+                f"with {a.mode.value!r} cue matching, requested {mode.value!r}"
             )
+        tally.add(mode, a.matched, a.unmatched_gold, a.unmatched_pred, a.partial_only_pred)
+        tally.add_scopes(
+            [((g.cue, g.scope), (p.cue, p.scope)) for g, p in a.matched],
+            [(g.cue, g.scope) for g in a.unmatched_gold],
+            [(p.cue, p.scope) for p in a.unmatched_pred],
+        )
     return tally
 
 
@@ -250,17 +259,8 @@ def _fold(
 # Corpus-level scores
 
 
-def _require_mode(alignments: Sequence[InstanceAlignment], mode: CueMatchMode, caller: str) -> None:
-    for alignment in alignments:
-        if alignment.mode is not mode:
-            raise UsageError(
-                f"{caller}: alignment for {alignment.doc_id}#{alignment.sent_index} was built "
-                f"with {alignment.mode.value!r} cue matching, requested {mode.value!r}"
-            )
-
-
 def instance_scores(
-    alignments: Sequence[InstanceAlignment],
+    alignments: Iterable[InstanceAlignment],
     scorer: ScopeScorer = TOKEN_SCORER,
 ) -> PRF:
     """Uniformly weighted per-instance precision/recall expectation.
@@ -269,22 +269,20 @@ def instance_scores(
     cue match contribute zero.  Precision divides by the number of predicted
     instances, recall by the number of gold instances.
     """
-    _require_mode(alignments, CueMatchMode.EXACT, "instance_scores")
-    return _fold(alignments, scopes=True, scorers=(scorer,)).instance_prf(scorer)
+    return _fold(alignments, CueMatchMode.EXACT, "instance_scores", (scorer,)).instance_prf(scorer)
 
 
-def scope_tokens(alignments: Sequence[InstanceAlignment]) -> PRF:
+def scope_tokens(alignments: Iterable[InstanceAlignment]) -> PRF:
     """Scope token overlap aggregated over the whole corpus.
 
     The numerator sums |s_g ∩ s_p| over cue-matched pairs; the denominators
     are the total scope sizes over *all* predicted (gold) instances, matched
     or not.  A token belonging to several scopes counts once per scope.
     """
-    _require_mode(alignments, CueMatchMode.EXACT, "scope_tokens")
-    return _fold(alignments, scopes=True).scope_tokens_prf()
+    return _fold(alignments, CueMatchMode.EXACT, "scope_tokens").scope_tokens_prf()
 
 
-def scope_match(alignments: Sequence[InstanceAlignment], variant: str = "standard") -> PRF:
+def scope_match(alignments: Iterable[InstanceAlignment], variant: str = "standard") -> PRF:
     """Exact scope match over cue-matched pairs (the scope cue-match metric).
 
     Recall divides by the gold instance count in both variants.  The "b"
@@ -294,13 +292,13 @@ def scope_match(alignments: Sequence[InstanceAlignment], variant: str = "standar
     scope, are left out of the precision denominator entirely, so TP + FP
     can be smaller than the number of predictions.
     """
-    _require_mode(alignments, CueMatchMode.EXACT, "scope_match")
+    tally = _fold(alignments, CueMatchMode.EXACT, "scope_match")
     _check_variant(variant)
-    return _fold(alignments, scopes=True).scope_match_prf(variant)
+    return tally.scope_match_prf(variant)
 
 
 def cue_scores(
-    alignments: Sequence[InstanceAlignment],
+    alignments: Iterable[InstanceAlignment],
     mode: CueMatchMode = CueMatchMode.EXACT,
     variant: str = "standard",
 ) -> PRF:
@@ -312,8 +310,7 @@ def cue_scores(
     cue.
     """
     _check_variant(variant)
-    _require_mode(alignments, mode, "cue_scores")
-    return _fold(alignments).cue_prf(mode, variant)
+    return _fold(alignments, mode, "cue_scores").cue_prf(mode, variant)
 
 
 def _check_variant(variant: str) -> None:

@@ -204,10 +204,11 @@ class MetricReport:
 # The gold side of the corpus ``_count`` last scored, so that scoring a held
 # gold again strips, sorts and indexes only the predictions: a weak
 # reference to that corpus, the ``keep_punct`` it was scored with, and by
-# pair position ``(gold sentence, punctuation indices, sorted records)`` or
-# None.  The reference's callback empties it once the gold is freed.  A call
-# fills only the entries list it started with, so calls in other threads
-# cannot mix corpora or options.
+# pair position ``(punctuation indices, sorted records)`` or None.  Entries
+# hold for that frozen corpus object only, whose pair at position k is always
+# its sentence k.  The reference's callback empties the memo once the gold
+# is freed.  A call fills only the entries list it started with, so calls in
+# other threads cannot mix corpora or options.
 _memo: tuple = (None, None, [])
 
 
@@ -219,7 +220,7 @@ def _forget(ref: weakref.ref) -> None:
 
 def _gold_entries(gold: Corpus, keep_punct: bool) -> list:
     """The memo's entries for ``gold`` scored with ``keep_punct``; a new,
-    empty memo unless it already holds that corpus and option."""
+    empty memo unless it already holds that corpus object and option."""
     global _memo
     ref, kept_punct, entries = _memo
     if ref is None or ref() is not gold or kept_punct != keep_punct:
@@ -236,8 +237,8 @@ def _count(gold: Corpus, pred: Corpus, keep_punct: bool, cns_all_sentences: bool
     sorted once and matched in both cue-match modes, as ``align_corpus``
     would match it, and its counts go straight to the tally.  No instance is
     rebuilt.  A gold sentence's records and punctuation indices are taken
-    from the memo when it holds them for this corpus, option and sentence,
-    and put there otherwise, unless stripping dropped an instance: that
+    from the memo when it holds them for this corpus and option, and put
+    there otherwise, unless stripping dropped an instance: that
     sentence's warning is then issued again on every call, in pair order.
     """
     tally = _Tally((TOKEN_SCORER, EXACT_SCORER))
@@ -248,14 +249,14 @@ def _count(gold: Corpus, pred: Corpus, keep_punct: bool, cns_all_sentences: bool
             tally.add_sentence((), (), cns_all_sentences)
             continue
         entry = entries[position]
-        if entry is not None and entry[0] is g_sent:
-            _, punct, g_rec = entry
+        if entry is not None:
+            punct, g_rec = entry
         else:
             punct = None if keep_punct else _punct_indices(g_sent.tokens)
             g_rec = _records(g_sent, punct)
             g_rec.sort()
             if len(g_rec) == len(g_sent.instances):
-                entries[position] = (g_sent, punct, g_rec)
+                entries[position] = (punct, g_rec)
         if punct is not None and p_sent.tokens is not g_sent.tokens:
             punct = _punct_indices(p_sent.tokens)
         p_rec = _records(p_sent, punct)

@@ -53,7 +53,6 @@ def _parse_rules(text: str, source: str) -> TokenizerConfig:
     url = DEFAULT_URL_PATTERN
     internal = DEFAULT_WORD_INTERNAL
     abbrevs: set[str] = set()
-    saw_abbrev = False
     for first_line, lines in _blocks(text):
         for lineno, raw in enumerate(lines, first_line):
             line = raw.strip()
@@ -72,13 +71,12 @@ def _parse_rules(text: str, source: str) -> TokenizerConfig:
                 internal = value
             elif key == "abbrev":
                 abbrevs.add(value)
-                saw_abbrev = True
             else:
                 raise ParseError(f"unknown tokenizer rule {key!r}", source, lineno)
     return TokenizerConfig(
         url_pattern=url,
         word_internal=internal,
-        abbreviations=frozenset(abbrevs) if saw_abbrev else DEFAULT_ABBREVIATIONS,
+        abbreviations=frozenset(abbrevs) if abbrevs else DEFAULT_ABBREVIATIONS,
     )
 
 

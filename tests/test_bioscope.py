@@ -95,6 +95,18 @@ def test_cue_with_unknown_reference_is_an_error():
         parse_bioscope(xml)
 
 
+def test_an_empty_cue_inside_a_token_drops_its_instance():
+    xml = (
+        "<doc><sentence id='s'><xcope id='X1'>un<cue type='negation' ref='X1'/>able</xcope> and "
+        "<xcope id='X2'><cue type='negation' ref='X2'>not</cue> well</xcope></sentence></doc>"
+    )
+    (sent,) = parse_bioscope(xml).sentences
+    assert sent.surfaces() == ("unable", "and", "not", "well")
+    (inst,) = sent.instances
+    assert inst.instance_id == 0
+    assert ({e.token_index for e in inst.cue}, {e.token_index for e in inst.scope}) == ({2}, {2, 3})
+
+
 def test_entities_are_decoded_before_offsets():
     # "&amp;" is five raw characters but one decoded one; scope offsets must
     # refer to the decoded text or everything after it shifts

@@ -336,6 +336,8 @@ class TestPatchFile:
             (f"target\tcd\t7\t0\r\nreplace\t{_CELLS}\r\n \nreplace\t{_CELLS}\n", "p:4: replace line before any target line"),
             (f"target\tcd\t7\t0\nreplace\t{_CELLS}\ntarget\tcd\t7\t1\n", "p:3: patch block without replace lines"),
             (f"\n\ntarget\tcd\t7\t0\nreplace\t{_CELLS}\nretarget\n", "p:5: unknown patch directive 'retarget'"),
+            ("# drafts\ntarget\tcd\t7\n", "p:2: target line needs doc_id, sent_index, instance_id"),
+            ("target\tcd\t7\tfirst\n", "p:1: sent_index and instance_id must be integers"),
         ],
     )
     def test_errors_name_their_line(self, text, message):

@@ -23,9 +23,15 @@ from negeval.depgraph import (
     encode,
     encode_corpus,
     format_graph,
-    parse_graph_corpus,
+    _parse_graph_block,
 )
+from negeval.conll import _blocks
 from negeval.testing import random_laminar_sentence, random_sentence
+
+
+def parse_graph_corpus(text, source="<string>"):
+    """Every graph block of ``text`` as (doc_id, sent_index, surfaces, graph)."""
+    return [_parse_graph_block(lines, first_line, source) for first_line, lines in _blocks(text)]
 
 
 def signatures(instances):

@@ -69,6 +69,19 @@ def test_ref_child_linkage_is_supported():
     assert {e.token_index for e in inst.scope} == {1}
 
 
+def test_a_blank_word_element_is_no_token():
+    xml = (
+        "<DOCUMENT><PARAGRAPH><SENTENCE><W/>"
+        "<cue type='negation' ID='1'><W>no</W></cue><W> </W>"
+        "<xcope><ref SRC='1'/><W>luck</W></xcope>"
+        "</SENTENCE></PARAGRAPH></DOCUMENT>"
+    )
+    (sent,) = parse_sfu(xml, name="r").sentences
+    assert sent.surfaces() == ("no", "luck")
+    (inst,) = sent.instances
+    assert ({e.token_index for e in inst.cue}, {e.token_index for e in inst.scope}) == ({0}, {1})
+
+
 def test_scope_with_unknown_cue_reference_is_an_error():
     xml = (
         "<DOCUMENT><PARAGRAPH><SENTENCE>"

@@ -28,7 +28,8 @@ from negeval import (
     validate,
     write_sem_conll,
 )
-from negeval.depgraph import EncodingKind, decode_corpus, encode, encode_corpus, format_graph, parse_graph_corpus
+from negeval.conll import _blocks
+from negeval.depgraph import EncodingKind, _parse_graph_block, decode_corpus, encode, encode_corpus, format_graph
 from negeval.errors import GraphError
 from negeval.model import _punct_flags, renumber
 from negeval.testing import random_sentence
@@ -371,7 +372,8 @@ def _graphs_read_back(corpus: Corpus, kind: EncodingKind, text: str) -> bool:
     if kind is EncodingKind.DIRECT:
         decode_corpus(text, kind)
     expected = [(s.doc_id, s.sent_index, s.surfaces(), encode(s, kind)) for s in corpus.sentences]
-    return parse_graph_corpus(text) == expected
+    read = [_parse_graph_block(lines, first_line, "<string>") for first_line, lines in _blocks(text)]
+    return read == expected
 
 
 def test_every_writer_refuses_a_corpus_or_writes_what_its_reader_reads_back_equal():
